@@ -18,7 +18,7 @@ use std::thread::JoinHandle;
 use std::time::Duration;
 
 use skywalker_net::{read_frame, write_frame, Message};
-use skywalker_replica::{GpuProfile, Replica, ReplicaId, Request};
+use skywalker_replica::{GpuProfile, Replica, ReplicaId, Request, StepOutcome};
 use skywalker_telemetry::{prometheus_text, MetricsRegistry};
 
 use crate::scrape::{is_ascii_scrape, serve_ascii_scrape};
@@ -153,32 +153,64 @@ impl ReplicaServer {
     }
 }
 
+/// What the stepper does after one iteration.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum AfterStep {
+    /// The iteration did work or changed state: publish its outcome.
+    Publish,
+    /// Nothing is queued or running: nap briefly.
+    Nap,
+    /// The pending head can never be admitted: reject it so the queue
+    /// cannot wedge.
+    DropHead,
+}
+
+/// Decides what follows an iteration. `idle` must be read under the
+/// same replica lock as the step: a request enqueued in between would
+/// otherwise be taken for an unadmittable head. A zero-duration step
+/// that still `progressed()` (a preemption emptied the batch) leaves a
+/// servable head, so it is never a reason to drop one.
+fn after_step(out: &StepOutcome, idle: bool) -> AfterStep {
+    if out.progressed() {
+        AfterStep::Publish
+    } else if idle {
+        AfterStep::Nap
+    } else {
+        AfterStep::DropHead
+    }
+}
+
 fn stepper(shared: Arc<Shared>) {
     while !shared.shutdown.load(Ordering::Relaxed) {
-        let out = shared.replica.lock().step();
-        if !out.worked() {
-            // Idle or head-blocked; drop anything unadmittable so the
-            // queue cannot wedge, then nap briefly.
-            let dropped = {
-                let mut r = shared.replica.lock();
-                if r.is_idle() {
-                    None
-                } else {
-                    r.pop_pending_head()
-                }
+        // Step, decide and drop an unadmittable head under one lock.
+        let (out, next, dropped) = {
+            let mut r = shared.replica.lock();
+            let out = r.step();
+            let next = after_step(&out, r.is_idle());
+            let dropped = match next {
+                AfterStep::DropHead => r.pop_pending_head(),
+                AfterStep::Publish | AfterStep::Nap => None,
             };
-            if let Some(req) = dropped {
-                let route = shared.routes.lock().remove(&req.id.0);
-                if let Some(tx) = route {
-                    let _ = tx.send(Message::Reject {
-                        request_id: req.id.0,
-                        reason: "request exceeds replica KV capacity".to_string(),
-                    });
+            (out, next, dropped)
+        };
+        match next {
+            AfterStep::Publish => {}
+            AfterStep::Nap => {
+                std::thread::sleep(Duration::from_millis(1));
+                continue;
+            }
+            AfterStep::DropHead => {
+                if let Some(req) = dropped {
+                    let route = shared.routes.lock().remove(&req.id.0);
+                    if let Some(tx) = route {
+                        let _ = tx.send(Message::Reject {
+                            request_id: req.id.0,
+                            reason: "request exceeds replica KV capacity".to_string(),
+                        });
+                    }
                 }
                 continue;
             }
-            std::thread::sleep(Duration::from_millis(1));
-            continue;
         }
         // Let the iteration "run" in scaled wall time, then publish its
         // results.
@@ -277,6 +309,27 @@ mod tests {
 
     fn connect(addr: SocketAddr) -> TcpStream {
         TcpStream::connect(addr).expect("connect")
+    }
+
+    #[test]
+    fn after_step_drops_only_a_stuck_head() {
+        use skywalker_replica::RequestId;
+
+        let nothing = StepOutcome::default();
+        assert_eq!(after_step(&nothing, true), AfterStep::Nap);
+        assert_eq!(after_step(&nothing, false), AfterStep::DropHead);
+        let mut r = Replica::new(ReplicaId(0), GpuProfile::L4_LLAMA_8B);
+        r.enqueue(Request::new(1, "u", vec![1, 2, 3], 4));
+        let worked = r.step();
+        assert!(worked.worked());
+        assert_eq!(after_step(&worked, r.is_idle()), AfterStep::Publish);
+        // A zero-duration preemption leaves a servable head requeued.
+        let preempted = StepOutcome {
+            preempted: vec![RequestId(7)],
+            ..StepOutcome::default()
+        };
+        assert!(!preempted.worked());
+        assert_eq!(after_step(&preempted, false), AfterStep::Publish);
     }
 
     #[test]

@@ -215,6 +215,12 @@ impl Message {
     /// Encodes the message payload (version byte, tag, fields).
     pub fn encode(&self) -> Vec<u8> {
         let mut buf = Vec::with_capacity(32);
+        self.encode_into(&mut buf);
+        buf
+    }
+
+    /// Appends the payload [`Message::encode`] returns to `buf`.
+    fn encode_into(&self, buf: &mut Vec<u8>) {
         buf.push(WIRE_VERSION);
         buf.push(self.tag());
         match self {
@@ -225,21 +231,21 @@ impl Message {
                 max_new_tokens,
                 hops,
             } => {
-                put_u64(&mut buf, *request_id);
-                put_str(&mut buf, session_key);
-                put_tokens(&mut buf, prompt);
-                put_u32(&mut buf, *max_new_tokens);
+                put_u64(buf, *request_id);
+                put_str(buf, session_key);
+                put_tokens(buf, prompt);
+                put_u32(buf, *max_new_tokens);
                 buf.push(*hops);
             }
-            Message::FirstToken { request_id } => put_u64(&mut buf, *request_id),
+            Message::FirstToken { request_id } => put_u64(buf, *request_id),
             Message::Completed {
                 request_id,
                 generated,
                 cached_prompt_tokens,
             } => {
-                put_u64(&mut buf, *request_id);
-                put_u32(&mut buf, *generated);
-                put_u32(&mut buf, *cached_prompt_tokens);
+                put_u64(buf, *request_id);
+                put_u32(buf, *generated);
+                put_u32(buf, *cached_prompt_tokens);
             }
             Message::ProbeReplica
             | Message::ProbeLb
@@ -250,24 +256,23 @@ impl Message {
                 running,
                 kv_utilization_ppt,
             } => {
-                put_u32(&mut buf, *pending);
-                put_u32(&mut buf, *running);
+                put_u32(buf, *pending);
+                put_u32(buf, *running);
                 buf.extend_from_slice(&kv_utilization_ppt.to_be_bytes());
             }
             Message::LbStatus {
                 available_replicas,
                 queue_len,
             } => {
-                put_u32(&mut buf, *available_replicas);
-                put_u32(&mut buf, *queue_len);
+                put_u32(buf, *available_replicas);
+                put_u32(buf, *queue_len);
             }
             Message::Reject { request_id, reason } => {
-                put_u64(&mut buf, *request_id);
-                put_str(&mut buf, reason);
+                put_u64(buf, *request_id);
+                put_str(buf, reason);
             }
-            Message::MetricsText { text } => put_str(&mut buf, text),
+            Message::MetricsText { text } => put_str(buf, text),
         }
-        buf
     }
 
     /// Decodes a message payload produced by [`Message::encode`].
@@ -321,15 +326,19 @@ impl Message {
     }
 }
 
-/// Writes one framed message to a stream.
+/// Writes one framed message to a stream. The length prefix and the
+/// payload go out in one buffer and one `write_all`, so a small frame is
+/// never split into two segments for Nagle's algorithm and delayed ACKs
+/// to hold apart.
 pub fn write_frame<W: Write>(w: &mut W, msg: &Message) -> Result<(), WireError> {
-    let payload = msg.encode();
-    let len = payload.len() as u32;
+    let mut frame = vec![0u8; 4];
+    msg.encode_into(&mut frame);
+    let len = (frame.len() - 4) as u32;
     if len > MAX_FRAME_LEN {
         return Err(WireError::FrameTooLarge(len));
     }
-    w.write_all(&len.to_be_bytes())?;
-    w.write_all(&payload)?;
+    frame[..4].copy_from_slice(&len.to_be_bytes());
+    w.write_all(&frame)?;
     w.flush()?;
     Ok(())
 }
@@ -411,6 +420,27 @@ mod tests {
             let got = read_frame(&mut cursor).unwrap();
             assert_eq!(expected, got);
         }
+    }
+
+    #[test]
+    fn each_frame_is_one_write() {
+        /// Counts `write` calls; accepts every byte it is offered.
+        struct Writes(usize);
+        impl Write for Writes {
+            fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+                self.0 += 1;
+                Ok(buf.len())
+            }
+            fn flush(&mut self) -> std::io::Result<()> {
+                Ok(())
+            }
+        }
+        let mut w = Writes(0);
+        let messages = all_messages();
+        for msg in &messages {
+            write_frame(&mut w, msg).unwrap();
+        }
+        assert_eq!(w.0, messages.len());
     }
 
     #[test]

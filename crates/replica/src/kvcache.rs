@@ -20,12 +20,17 @@
 //! seeded suite in `tests/kvcache_props.rs`.
 //!
 //! *Which* unpinned state goes first is an open policy: the cache asks
-//! its [`KvEvictor`] to pick among the currently evictable leaves.
-//! [`LruEvictor`] (the default) reproduces the historical behavior
-//! byte-for-byte; [`PrefixAwareEvictor`] protects hot shared prefixes;
-//! [`NoEvict`] turns a full cache into a hard admission wall.
+//! its [`KvEvictor`] to rank each evictable leaf and evicts the lowest
+//! rank first. [`LruEvictor`] (the default) reproduces the historical
+//! behavior byte-for-byte; [`PrefixAwareEvictor`] protects hot shared
+//! prefixes; [`NoEvict`] turns a full cache into a hard admission wall.
+//!
+//! The bookkeeping is incremental, so the replica's per-iteration
+//! queries never rescan the node arena: a pinned-charge counter makes
+//! [`PrefixCache::reclaimable_tokens`] O(1), and an ordered index of
+//! ranked leaves makes choosing a victim O(log n).
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 
 /// Cache geometry.
@@ -91,8 +96,8 @@ impl std::fmt::Display for KvError {
 impl std::error::Error for KvError {}
 
 /// One evictable tree node, as [`KvEvictor`]s see it. Candidates are
-/// always unpinned leaves (no lease passes through them, no children),
-/// presented in stable node-arena order.
+/// always unpinned GPU leaves (no lease passes through them, no
+/// children).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct EvictCandidate {
     /// LRU clock value of the node's last traversal (higher = more
@@ -109,6 +114,12 @@ pub struct EvictCandidate {
     pub depth: u32,
 }
 
+/// An eviction priority, compared lexicographically: the evictable leaf
+/// with the lowest rank is evicted first, and equal ranks go to the
+/// lowest node-arena index.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, PartialOrd, Ord, Hash)]
+pub struct EvictRank(pub u64, pub u64, pub u64);
+
 /// Object-safe cloning for boxed evictors, blanket-implemented for every
 /// `Clone` evictor — implementors only need `#[derive(Clone)]`.
 pub trait CloneKvEvictor {
@@ -122,23 +133,25 @@ impl<T: KvEvictor + Clone + 'static> CloneKvEvictor for T {
     }
 }
 
-/// The open eviction policy of the [`PrefixCache`]: when an `acquire`
-/// or `extend` needs room, the cache repeatedly asks the evictor to
-/// pick one victim among the currently evictable leaves until enough
+/// The open eviction policy of the [`PrefixCache`]: the evictor ranks
+/// each leaf as it becomes evictable, and when an `acquire` or `extend`
+/// needs room the cache evicts the lowest-ranked leaf until enough
 /// space is free.
 ///
 /// The contract is narrow by construction: candidates are always
 /// unpinned leaves, so *no evictor can reclaim pinned state* — the
 /// cache's safety invariants hold for arbitrary implementations, and a
 /// policy only chooses the order in which reclaimable state dies.
-/// Returning `None` refuses to evict; the triggering operation then
-/// fails with [`KvError::InsufficientCapacity`] (or drops the
-/// extension) exactly as if the cache were unreclaimably full.
+/// A leaf ranked `None` is never evicted; when no ranked leaf is left,
+/// the triggering operation fails with [`KvError::InsufficientCapacity`]
+/// (or drops the extension) exactly as if the cache were unreclaimably
+/// full.
 pub trait KvEvictor: fmt::Debug + Send + Sync + CloneKvEvictor {
-    /// Picks the index (into `candidates`) of the next victim, or
-    /// `None` to refuse eviction. Out-of-range picks are treated as
-    /// refusals.
-    fn pick(&mut self, candidates: &[EvictCandidate]) -> Option<usize>;
+    /// Ranks one evictable leaf: lower ranks are evicted first, `None`
+    /// keeps the leaf. The cache files each leaf under its rank once,
+    /// when it becomes evictable, and again only when a candidate field
+    /// changes, so the rank must be a pure function of `candidate`.
+    fn rank(&self, candidate: &EvictCandidate) -> Option<EvictRank>;
 
     /// Display label for experiment tables, e.g. `"lru"`.
     fn label(&self) -> String;
@@ -165,12 +178,8 @@ impl Clone for Box<dyn KvEvictor> {
 pub struct LruEvictor;
 
 impl KvEvictor for LruEvictor {
-    fn pick(&mut self, candidates: &[EvictCandidate]) -> Option<usize> {
-        candidates
-            .iter()
-            .enumerate()
-            .min_by_key(|(_, c)| c.last_used)
-            .map(|(i, _)| i)
+    fn rank(&self, c: &EvictCandidate) -> Option<EvictRank> {
+        Some(EvictRank(c.last_used, 0, 0))
     }
 
     fn label(&self) -> String {
@@ -185,7 +194,7 @@ impl KvEvictor for LruEvictor {
 pub struct NoEvict;
 
 impl KvEvictor for NoEvict {
-    fn pick(&mut self, _candidates: &[EvictCandidate]) -> Option<usize> {
+    fn rank(&self, _candidate: &EvictCandidate) -> Option<EvictRank> {
         None
     }
 
@@ -203,12 +212,13 @@ impl KvEvictor for NoEvict {
 pub struct PrefixAwareEvictor;
 
 impl KvEvictor for PrefixAwareEvictor {
-    fn pick(&mut self, candidates: &[EvictCandidate]) -> Option<usize> {
-        candidates
-            .iter()
-            .enumerate()
-            .min_by_key(|(_, c)| (c.hits, std::cmp::Reverse(c.depth), c.last_used))
-            .map(|(i, _)| i)
+    fn rank(&self, c: &EvictCandidate) -> Option<EvictRank> {
+        // Deeper first: `u32::MAX - depth` reverses the depth order.
+        Some(EvictRank(
+            c.hits,
+            u64::from(u32::MAX - c.depth),
+            c.last_used,
+        ))
     }
 
     fn label(&self) -> String {
@@ -241,8 +251,8 @@ impl TieredEvictor {
 }
 
 impl KvEvictor for TieredEvictor {
-    fn pick(&mut self, candidates: &[EvictCandidate]) -> Option<usize> {
-        self.inner.pick(candidates)
+    fn rank(&self, candidate: &EvictCandidate) -> Option<EvictRank> {
+        self.inner.rank(candidate)
     }
 
     fn label(&self) -> String {
@@ -252,6 +262,28 @@ impl KvEvictor for TieredEvictor {
     fn host_budget(&self) -> Option<u64> {
         Some(self.host_budget)
     }
+}
+
+/// A read-only view of one live node of the cache's arena, for tools
+/// that cross-check the incremental bookkeeping against plain scans.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct NodeView {
+    /// Arena index, stable while the node lives.
+    pub id: usize,
+    /// Arena index of the parent (the root's index is 0).
+    pub parent: usize,
+    /// Leases (and walks in flight) whose path passes through the node.
+    pub refs: u32,
+    /// Number of child nodes.
+    pub children: usize,
+    /// True if the node is resident in the host tier.
+    pub host: bool,
+    /// LRU clock value of the node's last traversal.
+    pub last_used: u64,
+    /// Times an `acquire`/`extend` walk reused the node.
+    pub hits: u64,
+    /// Token length of the node's segment.
+    pub tokens: u32,
 }
 
 /// Residency tier of one cache node.
@@ -301,6 +333,11 @@ struct Node {
     /// Residency tier. Host nodes are always unpinned childless leaves;
     /// matching one promotes it back to GPU before use.
     tier: Tier,
+    /// Distance from the root (the root is 0).
+    depth: u32,
+    /// The rank this node is filed under in [`PrefixCache::evictable`],
+    /// or `None` while it is not an indexed eviction candidate.
+    rank: Option<EvictRank>,
 }
 
 const ROOT: usize = 0;
@@ -359,6 +396,12 @@ pub struct PrefixCache {
     demoted_tokens: u64,
     /// Cumulative block-rounded tokens promoted host→GPU.
     promoted_tokens: u64,
+    /// Block-rounded charge of the live GPU nodes some lease (or a walk
+    /// in flight) pins: `used_tokens - pinned_gpu` is reclaimable.
+    pinned_gpu: u64,
+    /// The ranked eviction candidates: every unpinned, childless GPU
+    /// leaf the evictor ranks, lowest rank (then arena index) first.
+    evictable: BTreeSet<(EvictRank, usize)>,
 }
 
 impl PrefixCache {
@@ -383,6 +426,8 @@ impl PrefixCache {
                 hits: 0,
                 dead: false,
                 tier: Tier::Gpu,
+                depth: 0,
+                rank: None,
             }],
             free: Vec::new(),
             used_tokens: 0,
@@ -395,6 +440,8 @@ impl PrefixCache {
             host_used: 0,
             demoted_tokens: 0,
             promoted_tokens: 0,
+            pinned_gpu: 0,
+            evictable: BTreeSet::new(),
         }
     }
 
@@ -449,12 +496,9 @@ impl PrefixCache {
     /// [`PrefixCache::used_tokens`] — an invariant the seeded property
     /// suite asserts after every operation.
     pub fn pinned_tokens(&self) -> u64 {
-        self.nodes
-            .iter()
-            .enumerate()
-            .filter(|(i, n)| *i != ROOT && !n.dead && n.refs > 0)
-            .map(|(_, n)| self.cfg.charge(n.seg.len()))
-            .sum()
+        // Between operations no lease pins a host node, so the GPU
+        // counter is the whole pinned charge.
+        self.pinned_gpu
     }
 
     /// The cache geometry.
@@ -508,17 +552,36 @@ impl PrefixCache {
         matched as u64
     }
 
-    /// Tokens reclaimable right now by evicting unpinned subtrees.
-    pub fn reclaimable_tokens(&self) -> u64 {
-        // A node is reclaimable iff no lease passes through it; whole
-        // unpinned subtrees drain leaf-first, so counting every unpinned
-        // GPU node is exact (host nodes are already off the GPU).
+    /// Every live node except the root, in arena order.
+    pub fn nodes(&self) -> impl Iterator<Item = NodeView> + '_ {
         self.nodes
             .iter()
             .enumerate()
-            .filter(|(i, n)| *i != ROOT && !n.dead && n.refs == 0 && n.tier == Tier::Gpu)
-            .map(|(_, n)| self.cfg.charge(n.seg.len()))
-            .sum()
+            .filter(|(i, n)| *i != ROOT && !n.dead)
+            .map(|(id, n)| NodeView {
+                id,
+                parent: n.parent,
+                refs: n.refs,
+                children: n.children.len(),
+                host: n.tier == Tier::Host,
+                last_used: n.last_used,
+                hits: n.hits,
+                tokens: n.seg.len() as u32,
+            })
+    }
+
+    /// The arena indices of the ranked eviction candidates, next victim
+    /// first.
+    pub fn eviction_order(&self) -> impl Iterator<Item = usize> + '_ {
+        self.evictable.iter().map(|&(_, i)| i)
+    }
+
+    /// Tokens reclaimable right now by evicting unpinned subtrees.
+    pub fn reclaimable_tokens(&self) -> u64 {
+        // A node is reclaimable iff no lease passes through it; whole
+        // unpinned subtrees drain leaf-first, so every unpinned GPU
+        // node's charge counts (host nodes are already off the GPU).
+        self.used_tokens - self.pinned_gpu
     }
 
     /// Like [`PrefixCache::matched_tokens`], but split by residency
@@ -611,13 +674,11 @@ impl PrefixCache {
     pub fn release(&mut self, lease: Lease) {
         let mut node = lease.node;
         loop {
-            let n = &mut self.nodes[node];
-            debug_assert!(n.refs > 0, "release without matching acquire");
-            n.refs = n.refs.saturating_sub(1);
+            self.drop_ref(node);
             if node == ROOT {
                 break;
             }
-            node = n.parent;
+            node = self.nodes[node].parent;
         }
     }
 
@@ -643,14 +704,34 @@ impl PrefixCache {
     pub fn check_invariants(&self) {
         let mut used = 0u64;
         let mut host = 0u64;
+        let mut pinned = 0u64;
+        let mut indexed = 0usize;
         for (i, n) in self.nodes.iter().enumerate() {
             if n.dead || i == ROOT {
+                assert_eq!(n.rank, None, "dead or root node in the eviction index");
                 continue;
             }
+            let expected = (n.refs == 0 && n.children.is_empty() && n.tier == Tier::Gpu)
+                .then(|| self.evictor.rank(&self.candidate(i)))
+                .flatten();
+            assert_eq!(n.rank, expected, "node {i} filed under a stale rank");
+            if let Some(rank) = n.rank {
+                assert!(
+                    self.evictable.contains(&(rank, i)),
+                    "node {i} missing from the index"
+                );
+                indexed += 1;
+            }
+            let charge = self.cfg.charge(n.seg.len());
             match n.tier {
-                Tier::Gpu => used += self.cfg.charge(n.seg.len()),
+                Tier::Gpu => {
+                    used += charge;
+                    if n.refs > 0 {
+                        pinned += charge;
+                    }
+                }
                 Tier::Host => {
-                    host += self.cfg.charge(n.seg.len());
+                    host += charge;
                     assert_eq!(n.refs, 0, "host-resident node is pinned");
                     assert!(
                         n.children.is_empty(),
@@ -660,6 +741,7 @@ impl PrefixCache {
             }
             assert!(!n.seg.is_empty(), "non-root node with empty segment");
             let parent = &self.nodes[n.parent];
+            assert_eq!(n.depth, parent.depth + 1, "node {i} depth drifted");
             assert!(!parent.dead, "live node under dead parent");
             assert_eq!(parent.tier, Tier::Gpu, "live node under host parent");
             assert!(
@@ -676,6 +758,12 @@ impl PrefixCache {
         }
         assert_eq!(used, self.used_tokens, "used-token accounting drifted");
         assert_eq!(host, self.host_used, "host-token accounting drifted");
+        assert_eq!(pinned, self.pinned_gpu, "pinned-token counter drifted");
+        assert_eq!(
+            indexed,
+            self.evictable.len(),
+            "eviction index holds stale entries"
+        );
         assert!(
             self.host_used <= self.host_budget,
             "host budget exceeded: {} > {}",
@@ -707,6 +795,65 @@ impl PrefixCache {
         self.nodes[node].last_used = self.clock;
     }
 
+    /// The view of node `i` its rank is computed from.
+    fn candidate(&self, i: usize) -> EvictCandidate {
+        let n = &self.nodes[i];
+        EvictCandidate {
+            last_used: n.last_used,
+            hits: n.hits,
+            tokens: n.seg.len() as u32,
+            charge: self.cfg.charge(n.seg.len()),
+            depth: n.depth,
+        }
+    }
+
+    /// Re-files node `i` in the eviction index after a change to its
+    /// refs, children, tier, liveness or candidate fields: it is indexed
+    /// iff it is a live, unpinned, childless GPU leaf the evictor ranks.
+    fn reindex(&mut self, i: usize) {
+        if let Some(old) = self.nodes[i].rank.take() {
+            self.evictable.remove(&(old, i));
+        }
+        let n = &self.nodes[i];
+        if i == ROOT || n.dead || n.refs != 0 || !n.children.is_empty() || n.tier != Tier::Gpu {
+            return;
+        }
+        let rank = self.evictor.rank(&self.candidate(i));
+        if let Some(rank) = rank {
+            self.evictable.insert((rank, i));
+        }
+        self.nodes[i].rank = rank;
+    }
+
+    /// Adds one pin to node `i`, taking it out of the eviction index and
+    /// into the pinned charge if it was unpinned.
+    fn add_ref(&mut self, i: usize) {
+        self.nodes[i].refs += 1;
+        if self.nodes[i].refs == 1 {
+            if self.nodes[i].tier == Tier::Gpu {
+                self.pinned_gpu += self.cfg.charge(self.nodes[i].seg.len());
+            }
+            self.reindex(i);
+        }
+    }
+
+    /// Drops one pin from node `i`; the last one moves its charge back
+    /// to reclaimable and may make it an eviction candidate.
+    fn drop_ref(&mut self, i: usize) {
+        let n = &mut self.nodes[i];
+        debug_assert!(n.refs > 0, "release without matching acquire");
+        if n.refs == 0 {
+            return;
+        }
+        n.refs -= 1;
+        if n.refs == 0 {
+            if n.tier == Tier::Gpu {
+                self.pinned_gpu -= self.cfg.charge(n.seg.len());
+            }
+            self.reindex(i);
+        }
+    }
+
     /// Descends from `anchor` matching `tokens`, pinning (ref +1, LRU
     /// touch) every node it matches so subsequent eviction cannot remove
     /// the prefix. A partial match into a child pins that child and stops.
@@ -727,7 +874,7 @@ impl PrefixCache {
                 .take_while(|(a, b)| a == b)
                 .count();
             debug_assert!(common >= 1, "child keyed by first token must match it");
-            self.nodes[child].refs += 1;
+            self.add_ref(child);
             self.nodes[child].hits += 1;
             self.touch(child);
             pinned.push(child);
@@ -755,7 +902,7 @@ impl PrefixCache {
 
     fn unpin(&mut self, pinned: &[usize]) {
         for &i in pinned {
-            self.nodes[i].refs -= 1;
+            self.drop_ref(i);
         }
     }
 
@@ -778,8 +925,8 @@ impl PrefixCache {
         self.ensure_free(extra)
     }
 
-    /// Evicts unpinned leaves chosen by the [`KvEvictor`] until `needed`
-    /// tokens are free.
+    /// Evicts the lowest-ranked unpinned leaves until `needed` tokens are
+    /// free.
     fn ensure_free(&mut self, needed: u64) -> Result<(), KvError> {
         if needed > self.cfg.capacity_tokens {
             return Err(KvError::InsufficientCapacity {
@@ -788,12 +935,7 @@ impl PrefixCache {
             });
         }
         while self.cfg.capacity_tokens - self.used_tokens < needed {
-            let (ids, candidates) = self.evictable_leaves();
-            let victim = self
-                .evictor
-                .pick(&candidates)
-                .and_then(|i| ids.get(i).copied());
-            let Some(victim) = victim else {
+            let Some(&(_, victim)) = self.evictable.first() else {
                 // No GPU leaf is evictable. A host-resident leaf keeps
                 // its GPU parent an interior node forever, so a tree
                 // whose fringe is all host leaves has reclaimable GPU
@@ -856,37 +998,10 @@ impl PrefixCache {
             self.evict(victim);
         }
         self.nodes[idx].tier = Tier::Host;
+        self.reindex(idx);
         self.used_tokens -= charge;
         self.host_used += charge;
         self.demoted_tokens += charge;
-    }
-
-    /// The currently evictable leaves (unpinned, childless), in stable
-    /// node-arena order: their arena ids and the candidate views handed
-    /// to the evictor.
-    fn evictable_leaves(&self) -> (Vec<usize>, Vec<EvictCandidate>) {
-        let mut ids = Vec::new();
-        let mut out = Vec::new();
-        for (i, n) in self.nodes.iter().enumerate() {
-            if i == ROOT || n.dead || n.refs != 0 || !n.children.is_empty() || n.tier != Tier::Gpu {
-                continue;
-            }
-            let mut depth = 0u32;
-            let mut at = i;
-            while at != ROOT {
-                depth += 1;
-                at = self.nodes[at].parent;
-            }
-            ids.push(i);
-            out.push(EvictCandidate {
-                last_used: n.last_used,
-                hits: n.hits,
-                tokens: n.seg.len() as u32,
-                charge: self.cfg.charge(n.seg.len()),
-                depth,
-            });
-        }
-        (ids, out)
     }
 
     /// Materializes the plan from [`Self::walk_pin`]: performs the pending
@@ -898,10 +1013,13 @@ impl PrefixCache {
         // their GPU charge, and the split below must only ever operate
         // on GPU-resident nodes.
         for &p in &wp.promote {
+            // Pinned by the walk, so its charge joins the pinned counter
+            // and it stays out of the eviction index.
             let charge = self.cfg.charge(self.nodes[p].seg.len());
             self.nodes[p].tier = Tier::Gpu;
             self.host_used -= charge;
             self.used_tokens += charge;
+            self.pinned_gpu += charge;
             self.promoted_tokens += charge;
         }
         let mut node = wp.node;
@@ -909,10 +1027,12 @@ impl PrefixCache {
             let mid = self.split(child, keep);
             // `mid` inherited `child`'s refs, which include this walk's
             // pin; the lease path runs through `mid`, not `child`.
-            self.nodes[child].refs -= 1;
+            self.drop_ref(child);
             node = mid;
         }
         if wp.matched < tokens.len() {
+            // `node` is pinned (by this walk, the extended lease, or as
+            // the root), so gaining a child cannot change its indexing.
             let seg = tokens[wp.matched..].to_vec();
             let leaf = self.alloc_node(seg, node, 1);
             let first = self.nodes[leaf].seg[0];
@@ -935,6 +1055,9 @@ impl PrefixCache {
         debug_assert_ne!(idx, ROOT);
         debug_assert_eq!(self.nodes[idx].refs, 0);
         debug_assert!(self.nodes[idx].children.is_empty());
+        if let Some(rank) = self.nodes[idx].rank.take() {
+            self.evictable.remove(&(rank, idx));
+        }
         let parent = self.nodes[idx].parent;
         let first = self.nodes[idx].seg[0];
         self.nodes[parent].children.remove(&first);
@@ -949,10 +1072,16 @@ impl PrefixCache {
         n.seg = Vec::new();
         n.children = BTreeMap::new();
         self.free.push(idx);
+        // Losing its last child can make the parent an evictable leaf.
+        self.reindex(parent);
     }
 
     fn alloc_node(&mut self, seg: Vec<u32>, parent: usize, refs: u32) -> usize {
-        self.used_tokens += self.cfg.charge(seg.len());
+        let charge = self.cfg.charge(seg.len());
+        self.used_tokens += charge;
+        if refs > 0 {
+            self.pinned_gpu += charge;
+        }
         self.clock += 1;
         let node = Node {
             seg,
@@ -963,6 +1092,8 @@ impl PrefixCache {
             hits: 0,
             dead: false,
             tier: Tier::Gpu,
+            depth: self.nodes[parent].depth + 1,
+            rank: None,
         };
         if let Some(idx) = self.free.pop() {
             self.nodes[idx] = node;
@@ -975,7 +1106,9 @@ impl PrefixCache {
 
     /// Splits `child` so that exactly `keep` tokens of its segment move to
     /// a new intermediate node between `child`'s parent and `child`;
-    /// returns the intermediate node. Refs and LRU state are inherited.
+    /// returns the intermediate node. Refs and LRU state are inherited;
+    /// `child`'s whole subtree moves one level deeper, so its indexed
+    /// leaves are re-ranked.
     fn split(&mut self, child: usize, keep: usize) -> usize {
         debug_assert!(keep > 0 && keep < self.nodes[child].seg.len());
         // `apply` promotes matched host nodes before splitting, so the
@@ -993,6 +1126,10 @@ impl PrefixCache {
         let old_charge = self.cfg.charge(self.nodes[child].seg.len());
         let new_charge = self.cfg.charge(keep) + self.cfg.charge(tail.len());
         self.used_tokens = self.used_tokens - old_charge + new_charge;
+        if refs > 0 {
+            self.pinned_gpu = self.pinned_gpu - old_charge + new_charge;
+        }
+        let depth = self.nodes[child].depth;
 
         let mid = if let Some(idx) = self.free.pop() {
             idx
@@ -1006,6 +1143,8 @@ impl PrefixCache {
                 hits: 0,
                 dead: true,
                 tier: Tier::Gpu,
+                depth: 0,
+                rank: None,
             });
             self.nodes.len() - 1
         };
@@ -1018,6 +1157,8 @@ impl PrefixCache {
             hits,
             dead: false,
             tier: Tier::Gpu,
+            depth,
+            rank: None,
         };
         let mid_first = self.nodes[mid].seg[0];
         self.nodes[parent].children.insert(mid_first, mid);
@@ -1026,6 +1167,14 @@ impl PrefixCache {
         let c = &mut self.nodes[child];
         c.seg = tail;
         c.parent = mid;
+        let mut stack = vec![child];
+        while let Some(i) = stack.pop() {
+            self.nodes[i].depth += 1;
+            stack.extend(self.nodes[i].children.values().copied());
+            if self.nodes[i].rank.is_some() {
+                self.reindex(i);
+            }
+        }
         mid
     }
 }

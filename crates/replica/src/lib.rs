@@ -25,8 +25,8 @@
 //!
 //! The serving loop itself is an open axis: a [`BatchPolicy`] plans each
 //! iteration's admission order, prefill chunking, and preemption, and a
-//! [`KvEvictor`] picks which unpinned cache state dies under memory
-//! pressure. [`Replica::with_engine`] wires both; the defaults
+//! [`KvEvictor`] ranks which unpinned cache state dies first under
+//! memory pressure. [`Replica::with_engine`] wires both; the defaults
 //! ([`FcfsBatch`] + [`LruEvictor`]) reproduce the historical hardcoded
 //! engine byte-for-byte. See `docs/replica.md` for the recipe.
 
@@ -43,8 +43,8 @@ pub use engine::{
     StepView,
 };
 pub use kvcache::{
-    CloneKvEvictor, EvictCandidate, KvConfig, KvError, KvEvictor, Lease, LruEvictor, NoEvict,
-    PrefixAwareEvictor, PrefixCache, TieredEvictor,
+    CloneKvEvictor, EvictCandidate, EvictRank, KvConfig, KvError, KvEvictor, Lease, LruEvictor,
+    NoEvict, NodeView, PrefixAwareEvictor, PrefixCache, TieredEvictor,
 };
 pub use request::{Request, RequestId};
 pub use timing::GpuProfile;

@@ -11,15 +11,37 @@
 //!    against capacity (no token is double-counted or leaked);
 //! 2. eviction never reclaims pinned state — every live lease's full
 //!    acquired-plus-extended token sequence stays resident, whatever
-//!    the evictor does.
+//!    the evictor does;
+//! 3. the incremental bookkeeping agrees with the arena scans it
+//!    replaced (`scans`): the pinned-charge counter with the recount,
+//!    and the ranked eviction index with the old `evictable_leaves` +
+//!    `pick` victim choice, for every built-in evictor and the
+//!    `LargestFirst` recipe of `docs/replica.md`.
 //!
 //! Seeded-random rather than proptest-driven: the workspace builds
 //! offline with no external crates.
 
+mod scans;
+
+use scans::{LargestFirst, Pick};
 use skywalker_replica::{
     KvConfig, KvEvictor, Lease, LruEvictor, NoEvict, PrefixAwareEvictor, PrefixCache,
 };
 use skywalker_sim::DetRng;
+
+/// Every evictor under test, with the old `pick` it must reproduce.
+fn evictors() -> [(&'static str, Box<dyn KvEvictor>, Pick); 4] {
+    [
+        ("lru", Box::new(LruEvictor), scans::pick_lru),
+        (
+            "prefix-aware",
+            Box::new(PrefixAwareEvictor),
+            scans::pick_prefix_aware,
+        ),
+        ("noevict", Box::new(NoEvict), scans::pick_none),
+        ("largest", Box::new(LargestFirst), scans::pick_largest),
+    ]
+}
 
 /// One live lease plus the token sequence it provably pins.
 struct LiveLease {
@@ -41,8 +63,15 @@ fn random_tokens(rng: &mut DetRng, alphabet: u64, max_len: u64) -> Vec<u32> {
     (0..len).map(|_| rng.below(alphabet) as u32).collect()
 }
 
-fn check(c: &PrefixCache, live: &[LiveLease], case: u64, op_no: usize) {
+fn check(
+    c: &PrefixCache,
+    live: &[LiveLease],
+    race: (&dyn KvEvictor, Pick),
+    case: u64,
+    op_no: usize,
+) {
     c.check_invariants();
+    scans::race(c, race.0, race.1, &format!("case {case} op {op_no}"));
     assert_eq!(
         c.pinned_tokens() + c.reclaimable_tokens(),
         c.used_tokens(),
@@ -57,9 +86,14 @@ fn check(c: &PrefixCache, live: &[LiveLease], case: u64, op_no: usize) {
     }
 }
 
-fn run_case(case: u64, evictor: Box<dyn KvEvictor>, tag: &str) {
+/// One seeded op sequence; `split_heavy` draws prompts from a few long
+/// stems ([`scans::stem_prompt`]) instead of uniformly at random.
+fn run_case(case: u64, evictor: Box<dyn KvEvictor>, pick: Pick, tag: &str, split_heavy: bool) {
     let mut rng = DetRng::for_component(case, &format!("kvcache-props/{tag}"));
     let cap = rng.range(8, 192);
+    let stems = split_heavy.then(|| scans::stems(&mut rng));
+    let reference = evictor.clone();
+    let race = (reference.as_ref(), pick);
     let mut c = PrefixCache::with_evictor(KvConfig::tiny(cap), evictor);
     let mut live: Vec<LiveLease> = Vec::new();
     let n_ops = rng.range(10, 60);
@@ -73,7 +107,10 @@ fn run_case(case: u64, evictor: Box<dyn KvEvictor>, tag: &str) {
         };
         match op {
             Op::Acquire => {
-                let toks = random_tokens(&mut rng, 10, 24);
+                let toks = match &stems {
+                    Some(stems) => scans::stem_prompt(&mut rng, stems),
+                    None => random_tokens(&mut rng, 10, 24),
+                };
                 if let Ok((lease, cached)) = c.acquire(&toks) {
                     assert!(
                         cached <= toks.len() as u64,
@@ -120,13 +157,13 @@ fn run_case(case: u64, evictor: Box<dyn KvEvictor>, tag: &str) {
             }
             Op::Evict => c.clear_unpinned(),
         }
-        check(&c, &live, case, op_no);
+        check(&c, &live, race, case, op_no);
     }
     // Wind down: everything released, the whole cache reclaimable.
     for l in live.drain(..) {
         c.release(l.lease);
     }
-    check(&c, &live, case, usize::MAX);
+    check(&c, &live, race, case, usize::MAX);
     assert_eq!(
         c.reclaimable_tokens(),
         c.used_tokens(),
@@ -134,13 +171,26 @@ fn run_case(case: u64, evictor: Box<dyn KvEvictor>, tag: &str) {
     );
 }
 
-/// ≥ 1000 seeded op-sequences: 350 per built-in evictor.
+/// ≥ 1000 seeded op-sequences: 350 per built-in evictor (and the
+/// `LargestFirst` recipe).
 #[test]
 fn invariants_hold_for_every_evictor_over_1000_sequences() {
     for case in 0..350u64 {
-        run_case(case, Box::new(LruEvictor), "lru");
-        run_case(case, Box::new(PrefixAwareEvictor), "prefix-aware");
-        run_case(case, Box::new(NoEvict), "noevict");
+        for (tag, evictor, pick) in evictors() {
+            run_case(case, evictor, pick, tag, false);
+        }
+    }
+}
+
+/// Split-heavy sequences: prompts diverge mid-segment from a few long
+/// stems, so splits land above cached leaves and push them deeper. The
+/// ranked index must follow (`PrefixAwareEvictor` ranks by depth).
+#[test]
+fn ranked_index_matches_old_scans_on_split_heavy_sequences() {
+    for case in 0..350u64 {
+        for (tag, evictor, pick) in evictors() {
+            run_case(case, evictor, pick, &format!("stems/{tag}"), true);
+        }
     }
 }
 

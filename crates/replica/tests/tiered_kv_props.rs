@@ -17,11 +17,17 @@
 //!    was host-resident a moment earlier;
 //! 4. `host_budget = 0` is byte-identical to the unwrapped inner
 //!    evictor ([`NoEvict`] and [`LruEvictor`] both): same accept/reject
-//!    decisions, same counters, same residency, op for op.
+//!    decisions, same counters, same residency, op for op;
+//! 5. the pinned-charge counter and the ranked eviction index agree
+//!    with the arena scans they replaced (`scans`), with host tiers
+//!    live: demoted leaves leave the index, promoted ones rejoin it.
 //!
 //! Seeded-random rather than proptest-driven: the workspace builds
 //! offline with no external crates.
 
+mod scans;
+
+use scans::{LargestFirst, Pick};
 use skywalker_replica::{
     KvConfig, KvEvictor, Lease, LruEvictor, NoEvict, PrefixAwareEvictor, PrefixCache, TieredEvictor,
 };
@@ -95,14 +101,23 @@ fn check_tiers(c: &PrefixCache, live: &[LiveLease], case: u64, op_no: usize) {
     }
 }
 
-fn run_tiered_case(case: u64, inner: Box<dyn KvEvictor>, tag: &str, fresh_must_fit: bool) {
+/// One seeded op sequence against a tiered cache whose inner policy
+/// picked like `pick` before the ranked index. `split_heavy` draws
+/// prompts from a few long stems and always opens a host tier.
+fn run_tiered_case(
+    case: u64,
+    inner: Box<dyn KvEvictor>,
+    pick: Pick,
+    tag: &str,
+    fresh_must_fit: bool,
+    split_heavy: bool,
+) {
     let mut rng = DetRng::for_component(case, &format!("tiered-kv-props/{tag}"));
     let cap = rng.range(32, 192);
-    let host_budget = rng.range(0, 3) * cap / 2;
-    let mut c = PrefixCache::with_evictor(
-        KvConfig::tiny(cap),
-        Box::new(TieredEvictor::new(inner, host_budget)),
-    );
+    let host_budget = rng.range(u64::from(split_heavy), 3) * cap / 2;
+    let stems = split_heavy.then(|| scans::stems(&mut rng));
+    let evictor = TieredEvictor::new(inner, host_budget);
+    let mut c = PrefixCache::with_evictor(KvConfig::tiny(cap), Box::new(evictor.clone()));
     let mut live: Vec<LiveLease> = Vec::new();
     let mut demoted_before = 0u64;
     let mut promoted_before = 0u64;
@@ -110,7 +125,10 @@ fn run_tiered_case(case: u64, inner: Box<dyn KvEvictor>, tag: &str, fresh_must_f
     for op_no in 0..n_ops as usize {
         match pick_op(&mut rng) {
             Op::Acquire => {
-                let toks = random_tokens(&mut rng, 10, 24);
+                let toks = match &stems {
+                    Some(stems) => scans::stem_prompt(&mut rng, stems),
+                    None => random_tokens(&mut rng, 10, 24),
+                };
                 if let Ok((lease, cached)) = c.acquire(&toks) {
                     assert!(cached <= toks.len() as u64);
                     // Promote-on-hit: an acquire that succeeds leaves
@@ -168,6 +186,7 @@ fn run_tiered_case(case: u64, inner: Box<dyn KvEvictor>, tag: &str, fresh_must_f
         demoted_before = c.demoted_tokens();
         promoted_before = c.promoted_tokens();
         check_tiers(&c, &live, case, op_no);
+        scans::race(&c, &evictor, pick, &format!("case {case} op {op_no}"));
     }
     // Wind down: with every lease released, a modest fresh prompt must
     // always be admittable under an evicting inner policy —
@@ -193,9 +212,55 @@ fn run_tiered_case(case: u64, inner: Box<dyn KvEvictor>, tag: &str, fresh_must_f
 #[test]
 fn tier_invariants_hold_over_1000_sequences() {
     for case in 0..350u64 {
-        run_tiered_case(case, Box::new(LruEvictor), "lru", true);
-        run_tiered_case(case, Box::new(PrefixAwareEvictor), "prefix-aware", true);
-        run_tiered_case(case, Box::new(NoEvict), "noevict", false);
+        run_tiered_case(
+            case,
+            Box::new(LruEvictor),
+            scans::pick_lru,
+            "lru",
+            true,
+            false,
+        );
+        run_tiered_case(
+            case,
+            Box::new(PrefixAwareEvictor),
+            scans::pick_prefix_aware,
+            "prefix-aware",
+            true,
+            false,
+        );
+        run_tiered_case(
+            case,
+            Box::new(NoEvict),
+            scans::pick_none,
+            "noevict",
+            false,
+            false,
+        );
+    }
+}
+
+/// Split-heavy sequences over a non-zero host budget: demotions,
+/// promotions and depth-shifting splits interleave, and the ranked
+/// index must track the old scan through all of them.
+#[test]
+fn ranked_index_matches_old_scans_with_live_host_tier() {
+    for case in 0..350u64 {
+        run_tiered_case(
+            case,
+            Box::new(LruEvictor),
+            scans::pick_lru,
+            "stems/lru",
+            true,
+            true,
+        );
+        run_tiered_case(
+            case,
+            Box::new(LargestFirst),
+            scans::pick_largest,
+            "stems/largest",
+            true,
+            true,
+        );
     }
 }
 

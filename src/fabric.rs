@@ -665,6 +665,10 @@ pub struct RunSummary {
     pub report: RunReport,
     /// Virtual time when the run ended.
     pub end_time: SimTime,
+    /// How the run ended: drained, or cut off at the deadline.
+    pub stop: StopReason,
+    /// Simulation events the engine delivered over the run.
+    pub events_delivered: u64,
     /// Aggregated per-replica engine statistics.
     pub replica_stats: Vec<ReplicaStats>,
     /// Prefix-cache hit rate measured at the replicas.
@@ -716,6 +720,17 @@ pub struct RunSummary {
     /// was set: the final registry snapshot plus the per-tick dashboard
     /// series.
     pub telemetry: Option<TelemetrySummary>,
+}
+
+/// How a run ended.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum StopReason {
+    /// Nothing could generate further work: the traffic source ran dry
+    /// and every client finished, or the event queue emptied.
+    Drained,
+    /// The run was cut off at [`FabricConfig::deadline`] with events
+    /// still queued.
+    Deadline,
 }
 
 impl RunSummary {
@@ -2447,6 +2462,11 @@ pub fn run_scenario(scenario: &Scenario, cfg: &FabricConfig) -> RunSummary {
 
     let stats = engine.run_until(&mut world, cfg.deadline);
     let end = stats.end_time;
+    let stop = if stats.stopped_early || engine.pending() == 0 {
+        StopReason::Drained
+    } else {
+        StopReason::Deadline
+    };
     world.record_fleet(end);
     // One final flush so the summary snapshot reflects the end state even
     // when the run ends between ticks (no-op with telemetry off).
@@ -2517,6 +2537,8 @@ pub fn run_scenario(scenario: &Scenario, cfg: &FabricConfig) -> RunSummary {
         system: scenario.system,
         report,
         end_time: end,
+        stop,
+        events_delivered: stats.delivered,
         replica_hit_rate: if prompt_tokens > 0 {
             cached_tokens as f64 / prompt_tokens as f64
         } else {

@@ -135,7 +135,7 @@ pub mod sources;
 pub use autoscale::{PredictiveAutoscaler, PredictiveConfig};
 pub use fabric::{
     run_scenario, Deployment, FabricConfig, FaultEvent, FleetSummary, ReplicaPlacement, RunSummary,
-    Scenario, ScenarioBuilder, ScenarioError, SystemKind, TransferSummary,
+    Scenario, ScenarioBuilder, ScenarioError, StopReason, SystemKind, TransferSummary,
 };
 pub use p2c::{P2cLocal, P2cLocalFactory};
 pub use scenarios::{
@@ -151,8 +151,9 @@ pub use skywalker_fleet::{
     FleetPlan, MergePlan, ScheduledPlan, ThresholdAutoscaler,
 };
 pub use skywalker_replica::{
-    BatchPlan, BatchPolicy, EngineSpec, EvictCandidate, FcfsBatch, KvEvictor, LruEvictor, NoEvict,
-    PendingView, PrefixAwareEvictor, ReplicaRole, RunningView, StepView, TieredEvictor,
+    BatchPlan, BatchPolicy, EngineSpec, EvictCandidate, EvictRank, FcfsBatch, KvEvictor,
+    LruEvictor, NoEvict, PendingView, PrefixAwareEvictor, ReplicaRole, RunningView, StepView,
+    TieredEvictor,
 };
 pub use skywalker_telemetry::{
     markdown_table, prometheus_text, MetricsRegistry, MetricsSnapshot, QuantileSketch, RingSeries,

@@ -4,7 +4,7 @@
 
 use skywalker::{
     fig10_scenario, fig8_scenario, fig9_scenario, run_scenario, FabricConfig, RunSummary,
-    SystemKind, Workload,
+    StopReason, SystemKind, Workload,
 };
 
 fn small(system: SystemKind, workload: Workload, seed: u64) -> RunSummary {
@@ -37,6 +37,17 @@ fn all_requests_accounted_for_across_systems() {
             system.label()
         );
         assert_eq!(s.report.in_flight, 0, "{}: stuck requests", system.label());
+        assert_eq!(
+            s.stop,
+            StopReason::Drained,
+            "{}: run hit the deadline",
+            system.label()
+        );
+        assert!(
+            s.events_delivered > 0,
+            "{}: no events delivered",
+            system.label()
+        );
     }
 }
 
@@ -129,6 +140,18 @@ fn tot_workload_high_cache_hit_for_affinity_systems() {
         sw.replica_hit_rate
     );
     assert!(sw.replica_hit_rate > rr.replica_hit_rate);
+}
+
+#[test]
+fn a_run_cut_at_its_deadline_says_so() {
+    let scenario = fig8_scenario(SystemKind::SkyWalker, Workload::Arena, 0.05, 3);
+    let cfg = FabricConfig {
+        deadline: skywalker::sim::SimTime::from_secs(5),
+        ..FabricConfig::default()
+    };
+    let s = run_scenario(&scenario, &cfg);
+    assert_eq!(s.stop, StopReason::Deadline);
+    assert!(s.report.in_flight > 0, "work was still queued at the cut");
 }
 
 #[test]
