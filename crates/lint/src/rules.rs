@@ -32,7 +32,8 @@ pub const RULES: [RuleInfo; 6] = [
         id: "D01",
         title: "no wall-clock reads in deterministic code",
         hint: "use sim virtual time (SimTime / the scheduler); real-time \
-               measurement belongs in crates/live, crates/bench, or the lab executor",
+               measurement belongs in crates/live, crates/bench, perfbench, or the \
+               lab executor",
     },
     RuleInfo {
         id: "D02",
@@ -138,9 +139,11 @@ pub fn rule_applies(rule_id: &str, path: &str) -> bool {
         return rule_id == "D06";
     }
     match rule_id {
+        // The benchmark harnesses time what they measure.
         "D01" => {
             !in_dir(path, "crates/live/")
                 && !in_dir(path, "crates/bench/")
+                && !in_dir(path, "perfbench/")
                 && path != "crates/lab/src/exec.rs"
         }
         "D02" | "D05" => !in_dir(path, "crates/live/") && !in_dir(path, "crates/bench/"),
@@ -644,6 +647,24 @@ fn push_d06(findings: &mut Vec<Finding>, file: &str, line: u32, message: String)
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn perfbench_is_exempt_from_d01_only() {
+        assert!(!rule_applies("D01", "perfbench/harness/src/sim.rs"));
+        for rule in ["D02", "D03", "D04", "D05", "D06"] {
+            assert!(
+                rule_applies(rule, "perfbench/harness/src/sim.rs"),
+                "{rule} must still bind perfbench/"
+            );
+        }
+        for path in [
+            "src/fabric.rs",
+            "crates/sim/src/engine.rs",
+            "crates/core/src/lib.rs",
+        ] {
+            assert!(rule_applies("D01", path), "D01 must still bind {path}");
+        }
+    }
 
     fn rules_hit(src: &str, path: &str) -> Vec<&'static str> {
         lint_source(src, path)

@@ -90,6 +90,20 @@ impl StepOutcome {
     }
 }
 
+/// A run of pure decode iterations ahead of a replica (see
+/// [`Replica::pure_span`]): nothing pending, nothing mid-prefill, a
+/// batch policy that declares [`BatchPolicy::pure_decode`]. Until the
+/// earliest-finishing request completes, every iteration takes the same
+/// `step` and only advances each running request by one private token.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct PureSpan {
+    /// Duration of each iteration in the span.
+    pub step: SimDuration,
+    /// Iterations up to and including the one that completes the
+    /// earliest-finishing running request (≥ 1).
+    pub iterations: u32,
+}
+
 /// Cumulative replica statistics.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct ReplicaStats {
@@ -549,6 +563,60 @@ impl Replica {
         out
     }
 
+    /// The run of pure decode iterations starting at the next
+    /// [`Replica::step`], or `None` when the next iteration may do
+    /// anything else: admit or preempt, prefill, emit a first token, bill
+    /// a host→GPU promotion, or consult a policy that does not declare
+    /// [`BatchPolicy::pure_decode`].
+    pub fn pure_span(&self) -> Option<PureSpan> {
+        if !self.policy.pure_decode()
+            || !self.pending.is_empty()
+            || self.running.is_empty()
+            || self.cache.promoted_tokens() != self.promoted_charged
+        {
+            return None;
+        }
+        let mut iterations = u32::MAX;
+        for run in &self.running {
+            if run.prefill_remaining > 0 || run.generated == 0 {
+                return None;
+            }
+            iterations = iterations.min(run.target - run.generated);
+        }
+        Some(PureSpan {
+            step: self.profile.decode_step_time(self.running.len() as u32),
+            iterations,
+        })
+    }
+
+    /// Applies `k` iterations of the current [`PureSpan`] at once, in
+    /// O(batch): exactly what `k` calls to [`Replica::step`] would do,
+    /// including `iterations`, `generated_tokens` and
+    /// `peak_kv_utilization`. `k` must stay below the span's
+    /// `iterations`, so no request completes.
+    pub fn fast_forward(&mut self, k: u32) {
+        debug_assert!(
+            self.pure_span().is_some_and(|s| k < s.iterations),
+            "fast-forward past the pure span"
+        );
+        if k == 0 {
+            return;
+        }
+        for run in &mut self.running {
+            run.generated += k;
+        }
+        let batch = self.running.len() as u64;
+        let tokens = u64::from(k) * batch;
+        self.private_tokens += tokens;
+        self.reserved_tokens -= tokens;
+        self.stats.generated_tokens += tokens;
+        self.stats.iterations += u64::from(k);
+        self.stats.peak_batch = self.stats.peak_batch.max(batch as u32);
+        // Utilization only grows across the span, so its peak is the
+        // value after the last skipped iteration.
+        self.stats.peak_kv_utilization = self.stats.peak_kv_utilization.max(self.kv_utilization());
+    }
+
     /// Conservative fit check for admitting a request: uncached prompt
     /// charge plus full output reservation must fit next to everything
     /// already resident or reserved. This is the replica's own safety
@@ -665,6 +733,75 @@ mod tests {
         assert_eq!(c.prompt_tokens, 3);
         assert!(r.is_idle());
         assert_eq!(r.stats().completed, 1);
+    }
+
+    #[test]
+    fn pure_span_fast_forward_matches_stepping() {
+        // Two identical replicas: one steps through part of each pure
+        // span, the other fast-forwards it; they must stay identical to
+        // the last completion.
+        let build = || {
+            let mut r = Replica::new(ReplicaId(0), small_profile(4_096, 4));
+            for (i, out) in [9u32, 30, 17, 5, 22, 40].into_iter().enumerate() {
+                r.enqueue(req(i as u64, vec![7, 8, 9, i as u32], out));
+            }
+            r
+        };
+        for skip_share in [0u32, 1, 2, 3] {
+            let (mut stepped, mut skipped) = (build(), build());
+            let mut spans = 0;
+            while !stepped.is_idle() {
+                let span = stepped.pure_span();
+                assert_eq!(span, skipped.pure_span());
+                if let Some(span) = span {
+                    spans += 1;
+                    let k = (span.iterations - 1) * skip_share / 3;
+                    for _ in 0..k {
+                        let out = stepped.step();
+                        assert_eq!(out.duration, span.step);
+                        assert!(out.first_tokens.is_empty() && out.completions.is_empty());
+                    }
+                    skipped.fast_forward(k);
+                }
+                let (a, b) = (stepped.step(), skipped.step());
+                assert_eq!(a.duration, b.duration);
+                assert_eq!(a.completions, b.completions);
+                assert_eq!(a.first_tokens, b.first_tokens);
+                assert_eq!(stepped.stats(), skipped.stats());
+                assert_eq!(stepped.kv_utilization(), skipped.kv_utilization());
+            }
+            assert!(skipped.is_idle() && spans > 0);
+        }
+    }
+
+    #[test]
+    fn pure_span_needs_a_quiet_queue_and_a_declaring_policy() {
+        let mut r = Replica::new(ReplicaId(0), small_profile(4_096, 1));
+        assert_eq!(r.pure_span(), None, "idle");
+        r.enqueue(req(1, vec![1, 2, 3], 5));
+        r.enqueue(req(2, vec![4, 5, 6], 5));
+        assert_eq!(r.pure_span(), None, "pending work");
+        r.step();
+        assert_eq!(r.pure_span(), None, "the batch is full but a request waits");
+        r.pop_pending_head();
+        let span = r
+            .pure_span()
+            .expect("one decoding request, nothing pending");
+        assert_eq!(span.iterations, 4);
+        assert_eq!(span.step, r.profile().decode_step_time(1));
+        let mut preempting = Replica::with_engine(
+            ReplicaId(1),
+            small_profile(4_096, 4),
+            Box::new(crate::FcfsBatch::new().with_preemption(0.5)),
+            Box::new(crate::LruEvictor),
+        );
+        preempting.enqueue(req(1, vec![1, 2, 3], 5));
+        preempting.step();
+        assert_eq!(
+            preempting.pure_span(),
+            None,
+            "a preempting policy plans every step"
+        );
     }
 
     #[test]

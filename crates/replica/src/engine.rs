@@ -156,6 +156,16 @@ pub trait BatchPolicy: fmt::Debug + Send + Sync + CloneBatchPolicy {
 
     /// Display label for experiment tables, e.g. `"fcfs"`.
     fn label(&self) -> String;
+
+    /// Declares that while nothing is pending and no running request is
+    /// mid-prefill, [`plan`](BatchPolicy::plan) preempts nothing and
+    /// changes no state of the policy, so skipping those calls is
+    /// unobservable. A driver may then fast-forward such iterations in
+    /// bulk (see [`Replica::pure_span`](crate::Replica::pure_span)).
+    /// Defaults to `false`: every iteration is planned.
+    fn pure_decode(&self) -> bool {
+        false
+    }
 }
 
 impl Clone for Box<dyn BatchPolicy> {
@@ -228,6 +238,11 @@ impl BatchPolicy for FcfsBatch {
             }
         }
         plan
+    }
+
+    fn pure_decode(&self) -> bool {
+        // Preemption reads KV pressure, which every decode token raises.
+        self.preempt_above.is_none()
     }
 
     fn label(&self) -> String {
@@ -365,6 +380,13 @@ mod tests {
             "fcfs-chunk64-preempt0.95"
         );
         assert_eq!(EngineSpec::default().label(), "fcfs+lru");
+    }
+
+    #[test]
+    fn fcfs_declares_pure_decode_unless_it_preempts() {
+        assert!(FcfsBatch::new().pure_decode());
+        assert!(FcfsBatch::chunked(64).pure_decode());
+        assert!(!FcfsBatch::new().with_preemption(0.9).pure_decode());
     }
 
     #[test]

@@ -37,7 +37,7 @@ mod request;
 mod timing;
 mod tokenizer;
 
-pub use batch::{Completion, Replica, ReplicaStats, StepOutcome};
+pub use batch::{Completion, PureSpan, Replica, ReplicaStats, StepOutcome};
 pub use engine::{
     BatchPlan, BatchPolicy, CloneBatchPolicy, EngineSpec, FcfsBatch, PendingView, RunningView,
     StepView,

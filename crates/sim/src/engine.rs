@@ -1,16 +1,21 @@
 //! The discrete-event simulation engine.
 //!
-//! The engine owns a priority queue of `(time, sequence, event)` entries and
-//! repeatedly delivers the earliest event to a user-supplied [`World`].
-//! Events scheduled at the same instant are delivered in the order they were
-//! scheduled (FIFO tie-breaking via a monotonically increasing sequence
-//! number), which makes simulations fully deterministic.
+//! The engine owns a priority queue of entries and repeatedly delivers the
+//! earliest to a user-supplied [`World`]. Entries are ordered by their
+//! [`EntryKey`]: the instant they fire, then the instant they were
+//! scheduled at, then a sequence number handed out in scheduling order.
+//! Because sequence numbers grow with scheduling time, that is the plain
+//! "time, then FIFO" order; spelling out the scheduling instant lets a
+//! world file an entry *as of* an earlier instant (see
+//! [`Scheduler::file_as_of`]) and still have it sort exactly where it would
+//! have sorted had it been scheduled then. This makes simulations fully
+//! deterministic.
 //!
 //! The design is deliberately minimal: the engine knows nothing about LLM
 //! serving. Higher layers (replicas, balancers, clients) define an event
 //! enum and implement [`World::handle`].
 
-use std::cmp::Ordering;
+use std::cmp::{Ordering, Reverse};
 use std::collections::{BinaryHeap, VecDeque};
 
 use crate::time::{SimDuration, SimTime};
@@ -25,6 +30,30 @@ pub trait World {
 
     /// Handles one event occurring at virtual time `now`.
     fn handle(&mut self, now: SimTime, event: Self::Event, sched: &mut Scheduler<Self::Event>);
+
+    /// Runs once before the first delivery at each new instant `at`, with
+    /// the clock still at the previous instant. Entries it files at `at`
+    /// (typically [as of](Scheduler::file_as_of) an earlier instant) are
+    /// ordered among the entries already pending there. It is not called
+    /// for an instant whose entries are all cancelled, nor for one past a
+    /// [`Engine::run_until`] deadline. The default does nothing.
+    fn before_instant(&mut self, at: SimTime, sched: &mut Scheduler<Self::Event>) {
+        let _ = (at, sched);
+    }
+}
+
+/// Where an entry sorts in the engine's queue: by the instant it fires,
+/// then the instant it was scheduled at, then its sequence number.
+/// Returned by every scheduling call; hand it to [`Scheduler::cancel`] to
+/// withdraw the entry.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+pub struct EntryKey {
+    /// The instant the entry fires.
+    pub at: SimTime,
+    /// The instant the entry counts as scheduled at.
+    pub sched: SimTime,
+    /// Sequence number, handed out in scheduling order.
+    pub seq: u64,
 }
 
 /// Interface handed to event handlers for scheduling future events.
@@ -34,18 +63,24 @@ pub trait World {
 /// the heap (and any iteration-order subtleties) to user code.
 pub struct Scheduler<E> {
     now: SimTime,
-    buffered: Vec<(SimTime, E)>,
+    /// The next sequence number to hand out (the engine's counter, lent
+    /// for the duration of one handler).
+    seq: u64,
+    buffered: Vec<Entry<E>>,
+    cancelled: Vec<EntryKey>,
     stop_requested: bool,
 }
 
 impl<E> Scheduler<E> {
     /// `buffered` is handed in by the engine so its capacity can be
     /// recycled across handler invocations.
-    fn with_buffer(now: SimTime, buffered: Vec<(SimTime, E)>) -> Self {
+    fn with_buffer(now: SimTime, seq: u64, buffered: Vec<Entry<E>>) -> Self {
         debug_assert!(buffered.is_empty());
         Scheduler {
             now,
+            seq,
             buffered,
+            cancelled: Vec::new(),
             stop_requested: false,
         }
     }
@@ -56,17 +91,56 @@ impl<E> Scheduler<E> {
     }
 
     /// Schedules `event` to fire `delay` after the current instant.
-    pub fn after(&mut self, delay: SimDuration, event: E) {
-        self.buffered.push((self.now + delay, event));
+    pub fn after(&mut self, delay: SimDuration, event: E) -> EntryKey {
+        self.at(self.now + delay, event)
     }
 
     /// Schedules `event` at an absolute instant.
     ///
     /// Instants in the past are clamped to the current time, so the event is
     /// delivered next (never retroactively).
-    pub fn at(&mut self, at: SimTime, event: E) {
-        let t = if at < self.now { self.now } else { at };
-        self.buffered.push((t, event));
+    pub fn at(&mut self, at: SimTime, event: E) -> EntryKey {
+        let seq = self.reserve_seq();
+        let key = EntryKey {
+            at: at.max(self.now),
+            sched: self.now,
+            seq,
+        };
+        self.buffered.push(Entry { key, event });
+        key
+    }
+
+    /// Takes the next sequence number without filing anything, exactly as
+    /// scheduling an entry here would. A world that stands in for an
+    /// entry it does not file yet reserves its number, and later files
+    /// with [`Scheduler::file_as_of`].
+    pub fn reserve_seq(&mut self) -> u64 {
+        let seq = self.seq;
+        self.seq += 1;
+        seq
+    }
+
+    /// Files `event` under a key the world supplies: an entry that counts
+    /// as scheduled at `key.sched` under a sequence number reserved at
+    /// that instant, so it sorts exactly where an entry scheduled then
+    /// would sort. `key.at` must not be before now, and an entry for the
+    /// current instant may only be filed from [`World::before_instant`] —
+    /// a handler running at `at` has already delivered entries such a key
+    /// may sort ahead of.
+    pub fn file_as_of(&mut self, key: EntryKey, event: E) -> EntryKey {
+        debug_assert!(key.sched <= key.at, "an entry fires after it is scheduled");
+        debug_assert!(key.at >= self.now, "entries never fire in the past");
+        debug_assert!(key.seq < self.seq, "as-of entries reuse a reserved seq");
+        self.buffered.push(Entry { key, event });
+        key
+    }
+
+    /// Withdraws a pending entry. A cancelled entry is never delivered: it
+    /// does not advance the clock, does not count as delivered, does not
+    /// trigger [`World::before_instant`] and does not keep a run going.
+    /// `key` must name an entry that is still pending.
+    pub fn cancel(&mut self, key: EntryKey) {
+        self.cancelled.push(key);
     }
 
     /// Requests that the engine stop after the current handler returns,
@@ -77,14 +151,13 @@ impl<E> Scheduler<E> {
 }
 
 struct Entry<E> {
-    at: SimTime,
-    seq: u64,
+    key: EntryKey,
     event: E,
 }
 
 impl<E> PartialEq for Entry<E> {
     fn eq(&self, other: &Self) -> bool {
-        self.at == other.at && self.seq == other.seq
+        self.key == other.key
     }
 }
 
@@ -98,12 +171,8 @@ impl<E> PartialOrd for Entry<E> {
 
 impl<E> Ord for Entry<E> {
     fn cmp(&self, other: &Self) -> Ordering {
-        // Reversed: BinaryHeap is a max-heap, we want earliest-first with
-        // FIFO tie-breaking on the sequence number.
-        other
-            .at
-            .cmp(&self.at)
-            .then_with(|| other.seq.cmp(&self.seq))
+        // Reversed: BinaryHeap is a max-heap, we want the smallest key.
+        other.key.cmp(&self.key)
     }
 }
 
@@ -149,17 +218,22 @@ pub struct RunStats {
 pub struct Engine<E> {
     heap: BinaryHeap<Entry<E>>,
     /// Same-instant run of entries drained from the heap in one go, kept
-    /// sorted by sequence number. Dense instants (dispatch storms, batch
-    /// completions fanning out) deliver from here without touching the
-    /// heap, and handler-scheduled events at the current instant append
-    /// here directly — their sequence numbers are strictly larger than
-    /// anything already drained, so FIFO order is preserved by
-    /// construction.
+    /// in key order. Dense instants (dispatch storms, batch completions
+    /// fanning out) deliver from here without touching the heap, and
+    /// handler-scheduled events at the current instant append here
+    /// directly — their keys are strictly larger than anything already
+    /// drained, so FIFO order is preserved by construction.
     batch: VecDeque<Entry<E>>,
+    /// Keys of cancelled entries still in the heap, smallest first. Heap
+    /// pops come out in key order too, so a cancelled entry is recognised
+    /// by comparing against the smallest of these.
+    cancelled: BinaryHeap<Reverse<EntryKey>>,
     /// Recycled `Scheduler` buffer: handlers append into this vec, the
     /// engine drains it and keeps the capacity for the next handler.
-    scratch: Vec<(SimTime, E)>,
+    scratch: Vec<Entry<E>>,
     now: SimTime,
+    /// The last instant [`World::before_instant`] ran for.
+    hooked: Option<SimTime>,
     seq: u64,
     delivered: u64,
     peak_pending: usize,
@@ -177,8 +251,10 @@ impl<E> Engine<E> {
         Engine {
             heap: BinaryHeap::new(),
             batch: VecDeque::new(),
+            cancelled: BinaryHeap::new(),
             scratch: Vec::new(),
             now: SimTime::ZERO,
+            hooked: None,
             seq: 0,
             delivered: 0,
             peak_pending: 0,
@@ -190,9 +266,9 @@ impl<E> Engine<E> {
         self.now
     }
 
-    /// Number of events currently pending.
+    /// Number of events currently pending (cancelled entries excluded).
     pub fn pending(&self) -> usize {
-        self.heap.len() + self.batch.len()
+        self.heap.len() + self.batch.len() - self.cancelled.len()
     }
 
     /// Number of events delivered so far.
@@ -210,10 +286,13 @@ impl<E> Engine<E> {
     /// Schedules an event at an absolute instant before the run starts (or
     /// between runs). Instants before the current time are clamped.
     pub fn schedule(&mut self, at: SimTime, event: E) {
-        let at = if at < self.now { self.now } else { at };
-        let seq = self.seq;
+        let key = EntryKey {
+            at: at.max(self.now),
+            sched: self.now,
+            seq: self.seq,
+        };
         self.seq += 1;
-        self.heap.push(Entry { at, seq, event });
+        self.heap.push(Entry { key, event });
     }
 
     /// Schedules an event `delay` after the current instant.
@@ -236,49 +315,49 @@ impl<E> Engine<E> {
         let mut stopped_early = false;
         loop {
             if self.batch.is_empty() {
-                // Refill: drain the entire run of earliest-instant entries
-                // out of the heap at once. The heap pops equal-time entries
-                // in sequence order, so the batch is FIFO by construction.
-                let Some(head) = self.heap.peek() else { break };
-                if head.at > deadline {
+                let Some(instant) = self.next_live_instant() else {
+                    break;
+                };
+                if instant > deadline {
                     break;
                 }
-                let first = self.heap.pop().expect("peeked entry must exist");
-                let instant = first.at;
-                self.batch.push_back(first);
-                while self.heap.peek().is_some_and(|e| e.at == instant) {
+                if self.hooked != Some(instant) {
+                    self.hooked = Some(instant);
+                    let mut sched = self.lend_scheduler(instant);
+                    world.before_instant(instant, &mut sched);
+                    debug_assert!(!sched.stop_requested, "before_instant cannot stop a run");
+                    self.absorb(sched, false);
+                }
+                // Refill: drain the entire run of entries at this instant
+                // out of the heap at once. The heap pops them in key order,
+                // so the batch is in key order by construction.
+                while self.heap.peek().is_some_and(|e| e.key.at == instant) {
                     let e = self.heap.pop().expect("peeked entry must exist");
-                    self.batch.push_back(e);
+                    if !self.take_cancelled(&e.key) {
+                        self.batch.push_back(e);
+                    }
+                }
+                if self.batch.is_empty() {
+                    continue;
                 }
             }
-            let depth = self.heap.len() + self.batch.len();
+            let depth = self.pending();
             if depth > self.peak_pending {
                 self.peak_pending = depth;
             }
             let entry = self.batch.pop_front().expect("batch refilled above");
-            debug_assert!(entry.at >= self.now, "event queue went backwards");
-            self.now = entry.at;
+            debug_assert!(entry.key.at >= self.now, "event queue went backwards");
+            self.now = entry.key.at;
             self.delivered += 1;
 
-            let mut sched = Scheduler::with_buffer(self.now, std::mem::take(&mut self.scratch));
+            let mut sched = self.lend_scheduler(self.now);
             world.handle(self.now, entry.event, &mut sched);
-            let mut buffered = sched.buffered;
-            for (at, event) in buffered.drain(..) {
-                let seq = self.seq;
-                self.seq += 1;
-                if at == self.now {
-                    // Same-instant follow-up: joins the tail of the live
-                    // batch (its seq exceeds every drained entry's).
-                    self.batch.push_back(Entry { at, seq, event });
-                } else {
-                    self.heap.push(Entry { at, seq, event });
-                }
-            }
-            self.scratch = buffered;
-            if sched.stop_requested {
+            let stop = sched.stop_requested;
+            self.absorb(sched, true);
+            if stop {
                 // Undelivered batch entries go back to the heap so
                 // `pending()` stays truthful and a resumed run picks them
-                // up first (their seqs still order them correctly).
+                // up first (their keys still order them correctly).
                 while let Some(e) = self.batch.pop_front() {
                     self.heap.push(e);
                 }
@@ -290,6 +369,75 @@ impl<E> Engine<E> {
             delivered: self.delivered,
             end_time: self.now,
             stopped_early,
+        }
+    }
+
+    /// The instant of the earliest entry that is not cancelled, dropping
+    /// cancelled entries off the top of the heap on the way.
+    fn next_live_instant(&mut self) -> Option<SimTime> {
+        loop {
+            let key = self.heap.peek()?.key;
+            if !self.take_cancelled(&key) {
+                return Some(key.at);
+            }
+            self.heap.pop();
+        }
+    }
+
+    /// True (and forgets the cancellation) if `key` — the smallest key
+    /// left in the heap — was cancelled.
+    fn take_cancelled(&mut self, key: &EntryKey) -> bool {
+        while let Some(Reverse(c)) = self.cancelled.peek() {
+            match c.cmp(key) {
+                Ordering::Less => {
+                    // A key that is no longer pending was cancelled.
+                    debug_assert!(false, "cancelled an entry that was not pending");
+                    self.cancelled.pop();
+                }
+                Ordering::Equal => {
+                    self.cancelled.pop();
+                    return true;
+                }
+                Ordering::Greater => return false,
+            }
+        }
+        false
+    }
+
+    fn lend_scheduler(&mut self, now: SimTime) -> Scheduler<E> {
+        Scheduler::with_buffer(now, self.seq, std::mem::take(&mut self.scratch))
+    }
+
+    /// Takes back a lent scheduler: its entries join the queue, its
+    /// cancellations are recorded, its sequence counter becomes ours.
+    /// After a delivery (`live_instant`), entries for the current instant
+    /// join the live batch; the hook's entries all go to the heap, which
+    /// is drained right after it.
+    fn absorb(&mut self, sched: Scheduler<E>, live_instant: bool) {
+        self.seq = sched.seq;
+        let mut buffered = sched.buffered;
+        for e in buffered.drain(..) {
+            if live_instant && e.key.at == self.now {
+                // Same-instant follow-up: joins the live batch in key
+                // order, which for a plain follow-up is the tail.
+                if self.batch.back().is_none_or(|b| b.key < e.key) {
+                    self.batch.push_back(e);
+                } else {
+                    let pos = self.batch.partition_point(|b| b.key < e.key);
+                    self.batch.insert(pos, e);
+                }
+            } else {
+                self.heap.push(e);
+            }
+        }
+        self.scratch = buffered;
+        for key in sched.cancelled {
+            match self.batch.iter().position(|b| b.key == key) {
+                Some(pos) => {
+                    self.batch.remove(pos);
+                }
+                None => self.cancelled.push(Reverse(key)),
+            }
         }
     }
 }
@@ -480,6 +628,189 @@ mod tests {
         engine.run(&mut w);
         assert_eq!(engine.peak_pending(), 10);
         assert_eq!(engine.pending(), 0);
+    }
+
+    /// Logs deliveries and hook calls; `plan` maps an event to what its
+    /// handler does.
+    struct Scripted {
+        log: Vec<String>,
+        plan: fn(SimTime, u32, &mut Scheduler<u32>),
+        hook: fn(SimTime, &mut Scheduler<u32>),
+    }
+
+    impl World for Scripted {
+        type Event = u32;
+
+        fn handle(&mut self, now: SimTime, ev: u32, sched: &mut Scheduler<u32>) {
+            self.log.push(format!("{}:{ev}", now.as_micros()));
+            (self.plan)(now, ev, sched);
+        }
+
+        fn before_instant(&mut self, at: SimTime, sched: &mut Scheduler<u32>) {
+            self.log.push(format!("hook@{}", at.as_micros()));
+            (self.hook)(at, sched);
+        }
+    }
+
+    fn scripted(
+        plan: fn(SimTime, u32, &mut Scheduler<u32>),
+        hook: fn(SimTime, &mut Scheduler<u32>),
+    ) -> Scripted {
+        Scripted {
+            log: Vec::new(),
+            plan,
+            hook,
+        }
+    }
+
+    #[test]
+    fn as_of_entries_sort_where_their_scheduling_instant_puts_them() {
+        // Event 1 at t=0 reserves a seq and files 99 for t=10 as of t=0;
+        // event 2 at t=5 schedules 50 for t=10 the ordinary way. The as-of
+        // entry was "scheduled" first, so it fires first — even though it
+        // is filed at t=5 after 50 in the handler below.
+        let mut engine = Engine::new();
+        engine.schedule(SimTime::ZERO, 1);
+        engine.schedule(SimTime::from_micros(5), 2);
+        let mut w = scripted(
+            |now, ev, sched| {
+                if ev == 1 {
+                    let seq = sched.reserve_seq();
+                    // Parked in a thread-local until event 2 files it.
+                    RESERVED.with(|r| r.set(Some((now, seq))));
+                }
+                if ev == 2 {
+                    sched.at(SimTime::from_micros(10), 50);
+                    let (sched_at, seq) = RESERVED.with(|r| r.get()).expect("reserved");
+                    let key = EntryKey {
+                        at: SimTime::from_micros(10),
+                        sched: sched_at,
+                        seq,
+                    };
+                    assert_eq!(sched.file_as_of(key, 99), key);
+                }
+            },
+            |_, _| {},
+        );
+        engine.run(&mut w);
+        assert_eq!(
+            w.log,
+            ["hook@0", "0:1", "hook@5", "5:2", "hook@10", "10:99", "10:50"]
+        );
+    }
+
+    thread_local! {
+        static RESERVED: std::cell::Cell<Option<(SimTime, u64)>> =
+            const { std::cell::Cell::new(None) };
+    }
+
+    #[test]
+    fn cancelled_entries_leave_no_trace() {
+        // 7 is cancelled while pending: it is never delivered, never
+        // counted, runs no hook at its instant, does not move the clock,
+        // and does not keep the run from draining.
+        let mut engine = Engine::new();
+        engine.schedule(SimTime::ZERO, 1);
+        let mut w = scripted(
+            |_, ev, sched| {
+                if ev == 1 {
+                    let late = sched.at(SimTime::from_micros(30), 7);
+                    let same = sched.at(SimTime::ZERO, 8);
+                    sched.at(SimTime::from_micros(20), 2);
+                    sched.cancel(late);
+                    sched.cancel(same);
+                }
+            },
+            |_, _| {},
+        );
+        let stats = engine.run(&mut w);
+        assert_eq!(w.log, ["hook@0", "0:1", "hook@20", "20:2"]);
+        assert_eq!(stats.delivered, 2);
+        assert_eq!(stats.end_time, SimTime::from_micros(20));
+        assert!(!stats.stopped_early);
+        assert_eq!(engine.pending(), 0);
+    }
+
+    #[test]
+    fn cancelled_entries_are_invisible_to_deadline_runs() {
+        // The cancelled 7 sits inside the first window: that window still
+        // ends at t=0 with only 2 pending, and resuming delivers 2 alone.
+        let mut engine = Engine::new();
+        engine.schedule(SimTime::ZERO, 1);
+        let mut w = scripted(
+            |_, ev, sched| {
+                if ev == 1 {
+                    let doomed = sched.at(SimTime::from_micros(5), 7);
+                    sched.at(SimTime::from_micros(50), 2);
+                    sched.cancel(doomed);
+                }
+            },
+            |_, _| {},
+        );
+        let stats = engine.run_until(&mut w, SimTime::from_micros(10));
+        assert_eq!((stats.delivered, stats.end_time), (1, SimTime::ZERO));
+        assert_eq!(engine.pending(), 1);
+        let stats = engine.run(&mut w);
+        assert_eq!(stats.delivered, 2);
+        assert_eq!(w.log, ["hook@0", "0:1", "hook@50", "50:2"]);
+    }
+
+    #[test]
+    fn hook_runs_once_per_instant_before_its_first_delivery() {
+        // Three entries at t=4, one at t=9; handlers add same-instant
+        // follow-ups; the hook files an entry at its instant as of t=0,
+        // which sorts ahead of everything scheduled later.
+        let mut engine = Engine::new();
+        engine.schedule(SimTime::ZERO, 1);
+        let mut w = scripted(
+            |now, ev, sched| {
+                if ev == 1 {
+                    sched.at(SimTime::from_micros(4), 2);
+                    sched.at(SimTime::from_micros(4), 3);
+                    sched.at(SimTime::from_micros(9), 4);
+                    RESERVED.with(|r| r.set(Some((now, sched.reserve_seq()))));
+                }
+                if ev == 2 {
+                    sched.at(now, 5);
+                }
+            },
+            |at, sched| {
+                if at == SimTime::from_micros(9) {
+                    let (sched_at, seq) = RESERVED.with(|r| r.get()).expect("reserved");
+                    sched.file_as_of(
+                        EntryKey {
+                            at,
+                            sched: sched_at,
+                            seq,
+                        },
+                        6,
+                    );
+                }
+            },
+        );
+        engine.run(&mut w);
+        assert_eq!(
+            w.log,
+            ["hook@0", "0:1", "hook@4", "4:2", "4:3", "4:5", "hook@9", "9:4", "9:6"]
+        );
+    }
+
+    #[test]
+    fn hook_is_not_rerun_when_a_stopped_instant_resumes() {
+        let mut engine = Engine::new();
+        engine.schedule(SimTime::from_micros(3), 1);
+        engine.schedule(SimTime::from_micros(3), 2);
+        let mut w = scripted(
+            |_, ev, sched| {
+                if ev == 1 {
+                    sched.stop();
+                }
+            },
+            |_, _| {},
+        );
+        engine.run(&mut w);
+        engine.run(&mut w);
+        assert_eq!(w.log, ["hook@3", "3:1", "3:2"]);
     }
 
     #[test]

@@ -62,6 +62,6 @@ mod engine;
 mod rng;
 mod time;
 
-pub use engine::{Engine, RunStats, Scheduler, World};
+pub use engine::{Engine, EntryKey, RunStats, Scheduler, World};
 pub use rng::{DetRng, Zipf};
 pub use time::{SimDuration, SimTime};

@@ -27,9 +27,9 @@ use skywalker_metrics::{peak_gap, RequestTracker, RunReport, TimeSeries};
 use skywalker_net::{DnsResolver, Endpoint, LatencyModel, Region};
 use skywalker_replica::{
     output_token, BatchPolicy, Completion, EngineSpec, GpuProfile, KvEvictor, Replica, ReplicaId,
-    ReplicaRole, ReplicaStats, Request, RequestId,
+    ReplicaRole, ReplicaStats, Request, RequestId, StepOutcome,
 };
-use skywalker_sim::{DetRng, Engine, Scheduler, SimDuration, SimTime, World};
+use skywalker_sim::{DetRng, Engine, EntryKey, Scheduler, SimDuration, SimTime, World};
 use skywalker_telemetry::{MetricsRegistry, RingSeries, TelemetryConfig, TelemetrySummary};
 use skywalker_trace::{TraceConfig, TraceEventKind, TraceRecorder, TraceSummary};
 use skywalker_workload::{ClientEvent, ClientListSource, ClientSpec, TrafficSource};
@@ -701,6 +701,10 @@ pub struct RunSummary {
     pub peak_outstanding: Vec<u32>,
     /// Largest balancer-side queue observed across all balancers.
     pub peak_lb_queue: usize,
+    /// Requests still queued at balancers when the run ended — zero for a
+    /// drained run, the balancer share of the backlog for one cut at its
+    /// deadline.
+    pub lb_backlog: u64,
     /// High-water mark of the simulation engine's pending-event count —
     /// the event-queue depth capacity planning keys off when scaling
     /// client populations.
@@ -868,6 +872,11 @@ enum Ev {
         first_tokens: Vec<RequestId>,
         completions: Vec<Completion>,
     },
+    /// The end of a [`DecodeSpan`]: the `IterationDone` of its last
+    /// iteration, carrying that iteration's outcome.
+    SpanDone {
+        replica: u32,
+    },
     /// A disaggregated KV handoff lands at its decode replica: the
     /// modeled interconnect delay has elapsed since the prefill side
     /// shipped it. `req` is the decode leg (prompt + first token,
@@ -951,6 +960,78 @@ enum ReplicaHealth {
     Crashed,
 }
 
+/// A coalesced run of pure decode iterations on one replica (see
+/// [`Replica::pure_span`]): one engine entry, the span end, stands in for
+/// the `IterationDone` + `ReplicaKick` pair the per-iteration model
+/// delivers at each internal boundary.
+///
+/// Boundary 0 is the real kick that opened the span; boundary `j ≥ 1` is
+/// `first + (j - 1) * step`, where the per-iteration model delivers the
+/// previous iteration's `IterationDone` and steps again. The iterations
+/// stepped at boundaries `1..boundaries` only advance private decode
+/// tokens and are fast-forwarded when the replica is next accessed. The
+/// one stepped at the last boundary completes a request: with
+/// `final_step` it is a real `step()`, run lazily the same way, and the
+/// span end at `boundary(boundaries) + step` delivers its outcome;
+/// without, it is pure too and the span end is an empty iteration.
+///
+/// Every `IterationDone` of the chain would have been filed at the
+/// previous boundary, and each boundary's kick runs in the order its
+/// `IterationDone` arrived, so the whole chain shares the sequence number
+/// the opening kick reserved: the entry for boundary `j` sorts as
+/// `(boundary(j), boundary(j - 1), seq)`.
+#[derive(Debug)]
+struct DecodeSpan {
+    /// Boundary 0: the instant of the opening kick.
+    opened: SimTime,
+    /// Boundary 1: when the opening kick's own iteration ends.
+    first: SimTime,
+    /// Duration of every iteration stepped at boundaries `1..=boundaries`.
+    step: SimDuration,
+    /// Internal boundaries (≥ 1).
+    boundaries: u32,
+    /// Boundaries already applied to the replica.
+    applied: u32,
+    /// Whether the iteration at the last boundary completes a request.
+    final_step: bool,
+    /// The sequence number the opening kick reserved.
+    seq: u64,
+    /// Outcome of the final step, once run.
+    outcome: Option<StepOutcome>,
+    /// No internal boundary before this instant is still to be checked
+    /// by [`World::before_instant`].
+    watch: SimTime,
+}
+
+impl DecodeSpan {
+    fn boundary(&self, j: u32) -> SimTime {
+        if j == 0 {
+            self.opened
+        } else {
+            self.first + self.step * u64::from(j - 1)
+        }
+    }
+
+    /// Internal boundaries strictly before `t`.
+    fn reached(&self, t: SimTime) -> u32 {
+        if t <= self.first {
+            return 0;
+        }
+        let past = (t.as_micros() - self.first.as_micros() - 1) / self.step.as_micros() + 1;
+        past.min(u64::from(self.boundaries)) as u32
+    }
+
+    /// The key boundary `j`'s `IterationDone` has in the per-iteration
+    /// model; the span end's is `done_key(boundaries + 1)`.
+    fn done_key(&self, j: u32) -> EntryKey {
+        EntryKey {
+            at: self.boundary(j),
+            sched: self.boundary(j - 1),
+            seq: self.seq,
+        }
+    }
+}
+
 /// The fabric's streaming metrics plane: a labeled registry fed at event
 /// sites (TTFT sketches) and on the telemetry tick (gauges, cumulative
 /// counters), plus ring-buffered dashboard series sampled every tick.
@@ -1010,6 +1091,12 @@ struct Fabric {
     replicas: Vec<Replica>,
     replica_region: Vec<Region>,
     replica_stepping: Vec<bool>,
+    /// Open decode span per replica (indexed like `replicas`). A replica
+    /// with a span is stepping.
+    spans: Vec<Option<DecodeSpan>>,
+    /// No open span has an unchecked internal boundary before this
+    /// instant.
+    span_watch: SimTime,
     /// Serving role per replica (indexed like `replicas`; mid-run joins
     /// are always [`ReplicaRole::Colocated`]).
     replica_role: Vec<ReplicaRole>,
@@ -1079,6 +1166,104 @@ struct Fabric {
 }
 
 impl Fabric {
+    /// The one way to a replica's state: applies every boundary of its
+    /// open span strictly before `now`, where the per-iteration model
+    /// would already have stepped it.
+    fn replica_at(&mut self, i: usize, now: SimTime) -> &mut Replica {
+        if let Some(span) = self.spans[i].as_mut() {
+            let reached = span.reached(now);
+            if reached > span.applied {
+                let pure = span.boundaries - u32::from(span.final_step);
+                let skip = reached.min(pure) - span.applied.min(pure);
+                self.replicas[i].fast_forward(skip);
+                if span.final_step && reached == span.boundaries {
+                    let out = self.replicas[i].step();
+                    debug_assert_eq!(out.duration, span.step, "the final step is a decode step");
+                    span.outcome = Some(out);
+                }
+                span.applied = reached;
+            }
+        }
+        &mut self.replicas[i]
+    }
+
+    /// [`Fabric::replica_at`] for the whole fleet, ahead of fleet-wide
+    /// reads.
+    fn fleet_at(&mut self, now: SimTime) {
+        for i in 0..self.replicas.len() {
+            self.replica_at(i, now);
+        }
+    }
+
+    /// Ends replica `i`'s span at `now`, ahead of a change to its state
+    /// (an enqueue, a KV landing, a crash) that the next boundary's kick
+    /// must see: the span end is cancelled and the next boundary's
+    /// `IterationDone` is filed under the span's key. A span whose last
+    /// boundary has passed keeps its end, which is that boundary's
+    /// `IterationDone`.
+    fn cut_span(&mut self, i: usize, now: SimTime, sched: &mut Scheduler<Ev>) {
+        self.replica_at(i, now);
+        let Some(span) = self.spans[i].take_if(|s| s.applied < s.boundaries) else {
+            return;
+        };
+        sched.cancel(span.done_key(span.boundaries + 1));
+        sched.file_as_of(
+            span.done_key(span.applied + 1),
+            Ev::IterationDone {
+                replica: i as u32,
+                first_tokens: Vec::new(),
+                completions: Vec::new(),
+            },
+        );
+    }
+
+    /// After a real kick stepped replica `i` at `now` into `out`: when that
+    /// iteration emits nothing and the replica is pure from there on,
+    /// opens a [`DecodeSpan`] in place of the iteration's
+    /// `IterationDone`. Returns `false` (filing nothing) otherwise.
+    fn open_span(
+        &mut self,
+        i: usize,
+        now: SimTime,
+        out: &StepOutcome,
+        sched: &mut Scheduler<Ev>,
+    ) -> bool {
+        if !out.first_tokens.is_empty() || !out.completions.is_empty() {
+            return false;
+        }
+        let Some(pure) = self.replicas[i].pure_span() else {
+            return false;
+        };
+        // The completing step runs lazily only where running it late is
+        // unobservable: untraced (its evictions would be recorded out of
+        // order) and untiered (its KV extension could promote host blocks
+        // and lengthen the step).
+        let final_step = self.tracer.is_none() && self.replicas[i].cache().host_budget() == 0;
+        let boundaries = pure.iterations - u32::from(!final_step);
+        if boundaries == 0 || pure.step == SimDuration::ZERO {
+            return false;
+        }
+        let first = now + out.duration;
+        let span = DecodeSpan {
+            opened: now,
+            first,
+            step: pure.step,
+            boundaries,
+            applied: 0,
+            final_step,
+            seq: sched.reserve_seq(),
+            outcome: None,
+            watch: first,
+        };
+        sched.file_as_of(
+            span.done_key(boundaries + 1),
+            Ev::SpanDone { replica: i as u32 },
+        );
+        self.span_watch = self.span_watch.min(first);
+        self.spans[i] = Some(span);
+        true
+    }
+
     fn lb_endpoint(i: u32, region: Region) -> Endpoint {
         Endpoint { region, lb_id: i }
     }
@@ -1097,9 +1282,11 @@ impl Fabric {
     /// reads balancer/replica state, writes only the registry and ring
     /// series — never the scheduler, the RNG streams, or any component.
     fn telemetry_sample(&mut self, now: SimTime) {
-        let Some(mut plane) = self.telemetry.take() else {
+        if self.telemetry.is_none() {
             return;
-        };
+        }
+        self.fleet_at(now);
+        let mut plane = self.telemetry.take().expect("checked above");
         plane.ticks += 1;
         let reg = &mut plane.registry;
 
@@ -1515,6 +1702,7 @@ impl Fabric {
         };
         let tokens = leg2.prompt.len() as u64;
         let region = self.replica_region[from as usize];
+        self.fleet_at(now);
         match self.pick_decode_target(region, &leg2.prompt) {
             Some(to) => {
                 self.trace(
@@ -1568,6 +1756,105 @@ impl Fabric {
         }
     }
 
+    /// Delivers one finished iteration of `replica`: streams its first
+    /// tokens and completions (or ships prefill legs), then kicks the
+    /// replica again unless it crashed meanwhile.
+    fn iteration_done(
+        &mut self,
+        replica: u32,
+        first_tokens: Vec<RequestId>,
+        completions: Vec<Completion>,
+        now: SimTime,
+        sched: &mut Scheduler<Ev>,
+    ) {
+        let i = replica as usize;
+        self.replica_stepping[i] = false;
+        // Outputs of an iteration that finished before a crash
+        // landed still stream out (crash granularity is the
+        // iteration boundary); the still-running remainder was
+        // already failed by the crash itself.
+        let crashed = self.replica_health[i] == ReplicaHealth::Crashed;
+        let r_region = self.replica_region[i];
+        for id in first_tokens {
+            self.trace(now, TraceEventKind::FirstToken { req: id.0, replica });
+            // The decode leg of a disaggregated request re-emits
+            // a first token when its (cache-warm) prefill pass
+            // finishes; the client already got theirs from the
+            // prefill replica.
+            if self
+                .disagg
+                .get(&id.0)
+                .is_some_and(|m| m.stage == DisaggStage::Decode)
+            {
+                continue;
+            }
+            if let Some(&client) = self.req_client.get(&id.0) {
+                let delay = self.cfg.net.sample_one_way(
+                    r_region,
+                    self.clients[client].spec.region,
+                    &mut self.rng,
+                );
+                sched.after(delay, Ev::DeliverFirstToken { req: id });
+            }
+        }
+        for c in completions {
+            self.trace(
+                now,
+                TraceEventKind::ReplicaDone {
+                    req: c.id.0,
+                    replica,
+                },
+            );
+            let stage = self.disagg.get(&c.id.0).map(|m| m.stage);
+            if stage == Some(DisaggStage::Prefill) {
+                // Prefill leg done: credit the dispatching
+                // balancer (the decode leg is invisible to it)
+                // and ship the KV state instead of delivering.
+                if let Some(&lb) = self.req_lb.get(&c.id.0) {
+                    self.lbs[lb as usize].on_replica_complete(ReplicaId(replica));
+                    sched.at(now, Ev::LbDispatch { lb });
+                }
+                self.req_lb.remove(&c.id.0);
+                self.start_handoff(replica, &c, now, sched);
+                continue;
+            }
+            let completion = if stage == Some(DisaggStage::Decode) {
+                // Decode leg done: rewrite the completion to the
+                // client's view — the original prompt length,
+                // the prefill leg's cache credit, both legs'
+                // generated tokens. (No balancer owns this leg;
+                // `req_lb` was dropped at the handoff.)
+                let meta = self.disagg.remove(&c.id.0).expect("stage implies meta");
+                Completion {
+                    id: c.id,
+                    prompt_tokens: meta.orig.prompt_len(),
+                    cached_prompt_tokens: meta.cached_at_prefill,
+                    generated_tokens: c.generated_tokens + 1,
+                }
+            } else {
+                if let Some(&lb) = self.req_lb.get(&c.id.0) {
+                    self.lbs[lb as usize].on_replica_complete(ReplicaId(replica));
+                    sched.at(now, Ev::LbDispatch { lb });
+                }
+                c
+            };
+            if let Some(&client) = self.req_client.get(&completion.id.0) {
+                let delay = self.cfg.net.sample_one_way(
+                    r_region,
+                    self.clients[client].spec.region,
+                    &mut self.rng,
+                );
+                sched.after(delay, Ev::DeliverCompletion { client, completion });
+            }
+        }
+        if !crashed {
+            if self.replica_health[i] == ReplicaHealth::Draining && self.replicas[i].is_idle() {
+                self.replica_health[i] = ReplicaHealth::Retired;
+            }
+            sched.at(now, Ev::ReplicaKick { replica });
+        }
+    }
+
     /// Applies one fleet change at its effective instant.
     fn apply_fleet_event(&mut self, event: FleetEvent, now: SimTime, sched: &mut Scheduler<Ev>) {
         match event {
@@ -1601,6 +1888,7 @@ impl Fabric {
                 ));
                 self.replica_region.push(region);
                 self.replica_stepping.push(false);
+                self.spans.push(None);
                 // Joins are always colocated: the fleet plan vocabulary
                 // has no role axis (yet), and a colocated joiner is a
                 // valid decode target either way.
@@ -1633,7 +1921,7 @@ impl Fabric {
                     self.lbs[holder.0 as usize].remove_replica(replica);
                 }
                 self.controller.deregister_replica(replica);
-                let idle = self.replicas[i].is_idle() && !self.replica_stepping[i];
+                let idle = self.replica_at(i, now).is_idle() && !self.replica_stepping[i];
                 self.replica_health[i] = if idle {
                     ReplicaHealth::Retired
                 } else {
@@ -1657,6 +1945,7 @@ impl Fabric {
                 self.replica_health[i] = ReplicaHealth::Crashed;
                 self.crashes += 1;
                 self.record_fleet(now);
+                self.cut_span(i, now, sched);
                 let lost = self.replicas[i].fail_all();
                 for req in lost {
                     self.fail_or_reroute(req, now, sched);
@@ -1668,6 +1957,36 @@ impl Fabric {
 
 impl World for Fabric {
     type Event = Ev;
+
+    /// Turns every span with an internal boundary at `at` back into
+    /// per-iteration events, so an instant where anything is delivered
+    /// never hides a boundary: each kick there runs in its true order
+    /// among the instant's other events, lockstep replicas included.
+    fn before_instant(&mut self, at: SimTime, sched: &mut Scheduler<Ev>) {
+        if at < self.span_watch {
+            return;
+        }
+        let mut watch = SimTime::MAX;
+        for i in 0..self.spans.len() {
+            let Some(span) = self.spans[i].as_mut() else {
+                continue;
+            };
+            // Step the watch boundary by boundary rather than dividing:
+            // delivered instants are usually closer together than a step.
+            while span.watch < at {
+                span.watch += span.step;
+                if span.watch > span.boundary(span.boundaries) {
+                    span.watch = SimTime::MAX;
+                }
+            }
+            if span.watch == at {
+                self.cut_span(i, at, sched);
+            } else {
+                watch = watch.min(span.watch);
+            }
+        }
+        self.span_watch = watch;
+    }
 
     fn handle(&mut self, now: SimTime, ev: Ev, sched: &mut Scheduler<Ev>) {
         match ev {
@@ -1803,6 +2122,7 @@ impl World for Fabric {
                         replica,
                     },
                 );
+                self.cut_span(i, now, sched);
                 self.replicas[i].enqueue(req);
                 sched.at(now, Ev::ReplicaKick { replica });
             }
@@ -1847,14 +2167,16 @@ impl World for Fabric {
                     }
                     if out.worked() {
                         self.replica_stepping[i] = true;
-                        sched.after(
-                            out.duration,
-                            Ev::IterationDone {
-                                replica,
-                                first_tokens: out.first_tokens,
-                                completions: out.completions,
-                            },
-                        );
+                        if !self.open_span(i, now, &out, sched) {
+                            sched.after(
+                                out.duration,
+                                Ev::IterationDone {
+                                    replica,
+                                    first_tokens: out.first_tokens,
+                                    completions: out.completions,
+                                },
+                            );
+                        }
                         return;
                     }
                     if out.progressed() {
@@ -1883,95 +2205,15 @@ impl World for Fabric {
                 replica,
                 first_tokens,
                 completions,
-            } => {
+            } => self.iteration_done(replica, first_tokens, completions, now, sched),
+            Ev::SpanDone { replica } => {
                 let i = replica as usize;
-                self.replica_stepping[i] = false;
-                // Outputs of an iteration that finished before a crash
-                // landed still stream out (crash granularity is the
-                // iteration boundary); the still-running remainder was
-                // already failed by the crash itself.
-                let crashed = self.replica_health[i] == ReplicaHealth::Crashed;
-                let r_region = self.replica_region[i];
-                for id in first_tokens {
-                    self.trace(now, TraceEventKind::FirstToken { req: id.0, replica });
-                    // The decode leg of a disaggregated request re-emits
-                    // a first token when its (cache-warm) prefill pass
-                    // finishes; the client already got theirs from the
-                    // prefill replica.
-                    if self
-                        .disagg
-                        .get(&id.0)
-                        .is_some_and(|m| m.stage == DisaggStage::Decode)
-                    {
-                        continue;
-                    }
-                    if let Some(&client) = self.req_client.get(&id.0) {
-                        let delay = self.cfg.net.sample_one_way(
-                            r_region,
-                            self.clients[client].spec.region,
-                            &mut self.rng,
-                        );
-                        sched.after(delay, Ev::DeliverFirstToken { req: id });
-                    }
-                }
-                for c in completions {
-                    self.trace(
-                        now,
-                        TraceEventKind::ReplicaDone {
-                            req: c.id.0,
-                            replica,
-                        },
-                    );
-                    let stage = self.disagg.get(&c.id.0).map(|m| m.stage);
-                    if stage == Some(DisaggStage::Prefill) {
-                        // Prefill leg done: credit the dispatching
-                        // balancer (the decode leg is invisible to it)
-                        // and ship the KV state instead of delivering.
-                        if let Some(&lb) = self.req_lb.get(&c.id.0) {
-                            self.lbs[lb as usize].on_replica_complete(ReplicaId(replica));
-                            sched.at(now, Ev::LbDispatch { lb });
-                        }
-                        self.req_lb.remove(&c.id.0);
-                        self.start_handoff(replica, &c, now, sched);
-                        continue;
-                    }
-                    let completion = if stage == Some(DisaggStage::Decode) {
-                        // Decode leg done: rewrite the completion to the
-                        // client's view — the original prompt length,
-                        // the prefill leg's cache credit, both legs'
-                        // generated tokens. (No balancer owns this leg;
-                        // `req_lb` was dropped at the handoff.)
-                        let meta = self.disagg.remove(&c.id.0).expect("stage implies meta");
-                        Completion {
-                            id: c.id,
-                            prompt_tokens: meta.orig.prompt_len(),
-                            cached_prompt_tokens: meta.cached_at_prefill,
-                            generated_tokens: c.generated_tokens + 1,
-                        }
-                    } else {
-                        if let Some(&lb) = self.req_lb.get(&c.id.0) {
-                            self.lbs[lb as usize].on_replica_complete(ReplicaId(replica));
-                            sched.at(now, Ev::LbDispatch { lb });
-                        }
-                        c
-                    };
-                    if let Some(&client) = self.req_client.get(&completion.id.0) {
-                        let delay = self.cfg.net.sample_one_way(
-                            r_region,
-                            self.clients[client].spec.region,
-                            &mut self.rng,
-                        );
-                        sched.after(delay, Ev::DeliverCompletion { client, completion });
-                    }
-                }
-                if !crashed {
-                    if self.replica_health[i] == ReplicaHealth::Draining
-                        && self.replicas[i].is_idle()
-                    {
-                        self.replica_health[i] = ReplicaHealth::Retired;
-                    }
-                    sched.at(now, Ev::ReplicaKick { replica });
-                }
+                self.replica_at(i, now);
+                let span = self.spans[i]
+                    .take()
+                    .expect("a span end belongs to an open span");
+                let out = span.outcome.unwrap_or_default();
+                self.iteration_done(replica, out.first_tokens, out.completions, now, sched);
             }
             Ev::KvTransfer { to, req } => {
                 let tokens = req.prompt.len() as u64;
@@ -1987,6 +2229,7 @@ impl World for Fabric {
                     // re-billed — the prefill side streams to the new
                     // target in the same window).
                     ReplicaHealth::Crashed => {
+                        self.fleet_at(now);
                         self.pick_decode_target(self.replica_region[to as usize], &req.prompt)
                     }
                 };
@@ -1998,6 +2241,7 @@ impl World for Fabric {
                 };
                 self.transfers.landed += 1;
                 self.transfers.tokens_landed += tokens;
+                self.cut_span(to, now, sched);
                 // The shipped KV state materializes in the decode
                 // replica's prefix cache, so admission skips the
                 // re-prefill; a failed prewarm (cache too small) just
@@ -2049,6 +2293,7 @@ impl World for Fabric {
                 self.request_finished(client, sched);
             }
             Ev::ProbeTick => {
+                self.fleet_at(now);
                 let mut ids = std::mem::take(&mut self.probe_ids);
                 for (li, lb) in self.lbs.iter_mut().enumerate() {
                     if !self.lb_alive[li] {
@@ -2165,6 +2410,7 @@ impl World for Fabric {
                         balancers: Vec::new(),
                     },
                 );
+                self.fleet_at(now);
                 self.observe_into(now, &mut obs);
                 // Look one poll interval ahead so every scheduled
                 // command can fire at its exact instant instead of
@@ -2386,6 +2632,8 @@ pub fn run_scenario(scenario: &Scenario, cfg: &FabricConfig) -> RunSummary {
         replicas,
         replica_region,
         replica_stepping: vec![false; n_replicas],
+        spans: (0..n_replicas).map(|_| None).collect(),
+        span_watch: SimTime::MAX,
         replica_role,
         disagg: BTreeMap::new(),
         transfers: TransferSummary::default(),
@@ -2461,12 +2709,27 @@ pub fn run_scenario(scenario: &Scenario, cfg: &FabricConfig) -> RunSummary {
     }
 
     let stats = engine.run_until(&mut world, cfg.deadline);
-    let end = stats.end_time;
     let stop = if stats.stopped_early || engine.pending() == 0 {
         StopReason::Drained
     } else {
         StopReason::Deadline
     };
+    // A run cut at its deadline also ran every span boundary up to it:
+    // the per-iteration model delivered events there.
+    let caught_up = match stop {
+        StopReason::Drained => stats.end_time,
+        StopReason::Deadline => cfg.deadline + SimDuration::from_micros(1),
+    };
+    let end =
+        world
+            .spans
+            .iter()
+            .flatten()
+            .fold(stats.end_time, |end, s| match s.reached(caught_up) {
+                0 => end,
+                j => end.max(s.boundary(j)),
+            });
+    world.fleet_at(caught_up);
     world.record_fleet(end);
     // One final flush so the summary snapshot reflects the end state even
     // when the run ends between ticks (no-op with telemetry off).
@@ -2511,6 +2774,7 @@ pub fn run_scenario(scenario: &Scenario, cfg: &FabricConfig) -> RunSummary {
         .map(|l| l.stats().peak_queue)
         .max()
         .unwrap_or(0);
+    let lb_backlog = world.lbs.iter().map(|l| l.queue_len() as u64).sum();
     let series_refs: Vec<&TimeSeries> = world.kv_series.iter().collect();
     let kv_peak_gap = peak_gap(&series_refs);
     let final_replicas = world
@@ -2557,6 +2821,7 @@ pub fn run_scenario(scenario: &Scenario, cfg: &FabricConfig) -> RunSummary {
         outstanding_imbalance,
         peak_outstanding: world.peak_outstanding,
         peak_lb_queue,
+        lb_backlog,
         peak_events: engine.peak_pending(),
         kv_peak_gap,
         kv_series: world.kv_series,

@@ -37,6 +37,7 @@ fn all_requests_accounted_for_across_systems() {
             system.label()
         );
         assert_eq!(s.report.in_flight, 0, "{}: stuck requests", system.label());
+        assert_eq!(s.lb_backlog, 0, "{}: balancer queues left", system.label());
         assert_eq!(
             s.stop,
             StopReason::Drained,
@@ -144,14 +145,21 @@ fn tot_workload_high_cache_hit_for_affinity_systems() {
 
 #[test]
 fn a_run_cut_at_its_deadline_says_so() {
-    let scenario = fig8_scenario(SystemKind::SkyWalker, Workload::Arena, 0.05, 3);
+    // Saturated: more Tree-of-Thoughts clients than two replicas' batches
+    // hold, so by 40 s SkyWalker's selective pushing keeps a queue at the
+    // balancer.
+    let scenario = fig9_scenario(SystemKind::SkyWalker, 2, 64, 3);
     let cfg = FabricConfig {
-        deadline: skywalker::sim::SimTime::from_secs(5),
+        deadline: skywalker::sim::SimTime::from_secs(40),
         ..FabricConfig::default()
     };
     let s = run_scenario(&scenario, &cfg);
     assert_eq!(s.stop, StopReason::Deadline);
     assert!(s.report.in_flight > 0, "work was still queued at the cut");
+    assert!(
+        s.lb_backlog > 0,
+        "balancers still held queued work at the cut"
+    );
 }
 
 #[test]
